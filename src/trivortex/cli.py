@@ -30,8 +30,10 @@ from .equilibria import (
 from .errors import BadSetup, BoundaryTheta, VortexError
 from .integrate import IntegratorOptions, integrate
 from .reduction import (
-    HYPERBOLOID,
     ReducedSystemSpec,
+    heading_rate,
+    leaf_residual,
+    leaf_z,
     reduce_state,
     reduced_hamiltonian,
     reduced_rhs_flat,
@@ -40,6 +42,10 @@ from .scattering import ScatteringSetup, initial_state, sweep
 
 USAGE_ERROR = 1
 NUMERICAL_ERROR = 2
+
+# longest value list, sample count or level count any option may ask for;
+# checked before anything of that length is built
+MAX_VALUES = 1_000_000
 
 SIMULATE_COLUMNS = (
     "t", "x1", "y1", "x2", "y2", "x3", "y3", "H", "Theta", "Mx", "My",
@@ -90,21 +96,20 @@ def _parse_values(text: str, what: str) -> list[float]:
     """One number, a comma list, or an inclusive start:stop:step range."""
     text = text.strip()
     try:
-        if ":" in text:
-            parts = [float(p) for p in text.split(":")]
-            if len(parts) != 3:
-                raise ValueError
-            start, stop, step = parts
-            if step == 0.0 or (stop - start) * step < 0.0:
-                raise ValueError
-            n = int(math.floor((stop - start) / step + 1e-9)) + 1
-            return [start + i * step for i in range(n)]
-        return [float(p) for p in text.split(",") if p.strip()]
+        if ":" not in text:
+            return [float(p) for p in text.split(",") if p.strip()]
+        start, stop, step = (float(p) for p in text.split(":"))
+        if step == 0.0 or not (stop - start) * step >= 0.0:
+            raise ValueError
     except ValueError:
         raise ValueError(
             f"cannot read {what} {text!r}: use a number, a comma list, "
             "or start:stop:step"
         ) from None
+    span = (stop - start) / step + 1e-9
+    if not span < MAX_VALUES:
+        raise ValueError(f"{what} {text!r} asks for more than {MAX_VALUES} values")
+    return [start + i * step for i in range(int(math.floor(span)) + 1)]
 
 
 def _parse_positions(text: str) -> np.ndarray:
@@ -194,8 +199,8 @@ def _launch_or_positions(ns) -> tuple[np.ndarray, np.ndarray]:
 def _uniform_times(t_end: float, samples: int) -> np.ndarray:
     if not (t_end > 0.0 and math.isfinite(t_end)):
         raise ValueError("--t-end must be positive and finite")
-    if samples < 2:
-        raise ValueError("--samples must be at least 2")
+    if not 2 <= samples <= MAX_VALUES:
+        raise ValueError(f"--samples must be between 2 and {MAX_VALUES}")
     return np.linspace(0.0, t_end, samples)
 
 
@@ -207,32 +212,20 @@ def cmd_simulate(ns) -> tuple[tuple, list]:
         positions.reshape(6),
         IntegratorOptions(rtol=ns.rtol, atol=ns.atol, t_end=ns.t_end),
     )
-    rows = []
-    for t in ts:
-        y = traj.interpolate(float(t)).reshape(3, 2)
-        c = conserved(y, g)
-        rows.append(
-            (
-                float(t),
-                y[0, 0], y[0, 1], y[1, 0], y[1, 1], y[2, 0], y[2, 1],
-                c.H, c.Theta, c.M[0], c.M[1],
-            )
-        )
+    ys = np.array([traj.interpolate(float(t)) for t in ts])
+    c = conserved(ys.reshape(-1, 3, 2), g)
+    rows = [
+        (float(t), *y, *inv)
+        for t, y, inv in zip(ts, ys, zip(c.H, c.Theta, *c.M))
+    ]
     return SIMULATE_COLUMNS, rows
-
-
-def _casimir_residual(geometry: str, x, y, z, theta) -> float:
-    if geometry == HYPERBOLOID:
-        raw = z * z - x * x - y * y - theta * theta
-    else:
-        raw = x * x + y * y + z * z - theta * theta
-    return abs(raw) / max(1.0, theta * theta, x * x + y * y + z * z)
 
 
 def cmd_reduced(ns) -> tuple[tuple, list]:
     if ns.levels is not None:
         return _reduced_levels(ns)
     positions, g = _launch_or_positions(ns)
+    ts = _uniform_times(ns.t_end, ns.samples)
     spec, s0 = reduce_state(positions, g)
     theta = s0.Theta
     with_alpha = spec.selector == "specialized-11m1"
@@ -240,14 +233,7 @@ def cmd_reduced(ns) -> tuple[tuple, list]:
 
     if with_alpha:
         def f(t, v):
-            x, y, z = v[0], v[1], v[2]
-            dx, dy, dz = f3(t, v[:3])
-            y2 = y * y
-            plane = x * x + y2
-            rate = 0.0
-            if theta != 0.0:
-                rate = -4.0 * theta * y2 / (plane * (theta * theta + y2))
-            return np.array([dx, dy, dz, rate])
+            return np.append(f3(t, v[:3]), heading_rate(v[0], v[1], theta))
 
         y0 = np.array([s0.X, s0.Y, s0.Z, 0.0])
     else:
@@ -258,16 +244,14 @@ def cmd_reduced(ns) -> tuple[tuple, list]:
     )
     columns = REDUCED_COLUMNS + (("alpha",) if with_alpha else ())
     rows = []
-    for t in _uniform_times(ns.t_end, ns.samples):
+    for t in ts:
         v = traj.interpolate(float(t))
         x, y, z = float(v[0]), float(v[1]), float(v[2])
         h = reduced_hamiltonian(
             spec, SimpleNamespace(X=x, Y=y, Z=z, Theta=theta)
         )
-        row = (
-            float(t), x, y, z, h,
-            _casimir_residual(s0.geometry, x, y, z, theta),
-        )
+        res, scale = leaf_residual(s0.geometry, x, y, z, theta)
+        row = (float(t), x, y, z, h, abs(res) / scale)
         if with_alpha:
             row = row + (float(v[3]),)
         rows.append(row)
@@ -371,6 +355,17 @@ def _reduced_levels(ns) -> tuple[tuple, list]:
     sphere = spec.kappa2 > 0.0
     if sphere and theta == 0.0:
         raise BoundaryTheta("the spherical leaf degenerates at Theta = 0")
+    # a lone positive integer asks for that many automatic levels
+    count, values = 9, None
+    if ns.levels != "auto":
+        values = _parse_values(ns.levels, "--levels")
+        if (
+            len(values) == 1 and float(values[0]).is_integer() and values[0] > 0
+            and ":" not in ns.levels and "," not in ns.levels
+        ):
+            count, values = int(values[0]), None
+            if count > MAX_VALUES:
+                raise ValueError(f"--levels asks for more than {MAX_VALUES} levels")
 
     n = 201
     anchors = []
@@ -416,12 +411,12 @@ def _reduced_levels(ns) -> tuple[tuple, list]:
         vs = np.linspace(-window, window, n)
         uu, vv = np.meshgrid(us, vs, indexing="ij")
         xs, ys = uu, vv
-        zs = np.sqrt(theta * theta + xs * xs + ys * ys)
+        zs = leaf_z(theta, xs, ys)
 
         def to_space(pu, pv):
             x = us[0] + pu * (us[1] - us[0])
             y = vs[0] + pv * (vs[1] - vs[0])
-            return (x, y, math.sqrt(theta * theta + x * x + y * y))
+            return (x, y, leaf_z(theta, x, y))
 
     h = np.full(xs.shape, math.nan)
     for i in range(n):
@@ -436,16 +431,7 @@ def _reduced_levels(ns) -> tuple[tuple, list]:
             except VortexError:
                 pass
 
-    if ns.levels == "auto":
-        levels = _auto_levels(h, anchors, 9)
-    else:
-        parsed = _parse_values(ns.levels, "--levels")
-        levels = (
-            _auto_levels(h, anchors, int(parsed[0]))
-            if len(parsed) == 1 and float(parsed[0]).is_integer()
-            and parsed[0] > 0 and ":" not in ns.levels and "," not in ns.levels
-            else sorted(parsed)
-        )
+    levels = _auto_levels(h, anchors, count) if values is None else sorted(values)
 
     rows = []
     for level in levels:
@@ -470,6 +456,8 @@ def cmd_sweep(ns) -> tuple[tuple, list]:
     rhos = _parse_values(ns.rho, "--rho")
     if ns.gamma <= 0.0:
         raise ValueError("--gamma must be positive")
+    if ns.jobs < 1:
+        raise ValueError("--jobs must be at least 1")
     t_max = ns.t_end if ns.t_end is not None else 1.0e5
     return sweep(
         rhos,

@@ -28,10 +28,10 @@ COINCIDENCE_FLOOR = 1e-12
 
 
 def as_positions(positions: FloatArray | Sequence[Sequence[float]]) -> FloatArray:
-    """Coerce to an (N, 2) float array, rejecting non-finite entries."""
+    """Coerce to an (N, 2) or (..., N, 2) float array, rejecting non-finite entries."""
     x = np.asarray(positions, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != 2:
-        raise ValueError(f"positions must have shape (N, 2), got {x.shape}")
+    if x.ndim < 2 or x.shape[-1] != 2:
+        raise ValueError(f"positions must have shape (..., N, 2), got {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError("positions contain non-finite values")
     return x
@@ -50,17 +50,51 @@ def as_circulations(
     return g
 
 
-def _separations(x: FloatArray, floor: float) -> tuple[FloatArray, FloatArray]:
-    """Pairwise offsets and squared distances, guarding against collisions."""
-    d = x[:, None, :] - x[None, :, :]
+def _pairs(x: FloatArray, floor: float | None) -> tuple[FloatArray, FloatArray]:
+    """Pairwise offsets and squared distances, +inf on the diagonal; with
+    ``floor`` set, the first pair (i < j) closer than it raises."""
+    d = x[..., :, None, :] - x[..., None, :, :]
     rho2 = d[..., 0] ** 2 + d[..., 1] ** 2
-    n = x.shape[0]
-    iu, ju = np.triu_indices(n, k=1)
-    k = int(np.argmin(rho2[iu, ju]))
-    if rho2[iu[k], ju[k]] < floor * floor:
-        i, j = int(iu[k]), int(ju[k])
-        raise CoincidentVortices(i, j, float(np.sqrt(rho2[i, j])))
+    n = x.shape[-2]
+    rho2.reshape(*rho2.shape[:-2], n * n)[..., :: n + 1] = np.inf
+    if floor is not None:
+        k = int(np.argmin(rho2))
+        if rho2.flat[k] < floor * floor:
+            i, j = divmod(k % (n * n), n)
+            raise CoincidentVortices(i, j, float(np.sqrt(rho2.flat[k])))
     return d, rho2
+
+
+def _dot(a: FloatArray, g: FloatArray) -> FloatArray:
+    # row-wise dot product over the last axis; each row rounds exactly as
+    # np.dot(g, row) does, so a stack gives the numbers of its states
+    return (a[..., None, :] @ g)[..., 0]
+
+
+def pair_kernel(
+    x: FloatArray, g: FloatArray, floor: float | None = None
+) -> tuple[FloatArray, FloatArray]:
+    """Velocities (shaped like ``x``) and squared pair distances (+inf on the
+    diagonal) of a validated (N, 2) state or (..., N, 2) stack."""
+    d, rho2 = _pairs(x, floor)
+    w = g / rho2
+    vx = -(w * d[..., 1]).sum(axis=-1)
+    vy = (w * d[..., 0]).sum(axis=-1)
+    return np.stack([vx, vy], axis=-1), rho2
+
+
+def invariants(
+    x: FloatArray, g: FloatArray, floor: float | None = None
+) -> tuple[FloatArray, FloatArray, FloatArray]:
+    """H, Theta and M (trailing axis of 2) over the leading axes of ``x``,
+    inputs as for ``pair_kernel``; a coincident pair sends H to +/-inf."""
+    _, rho2 = _pairs(x, floor)
+    iu, ju = np.triu_indices(g.shape[0], k=1)
+    with np.errstate(divide="ignore"):
+        h = -0.5 * np.sum(g[iu] * g[ju] * np.log(rho2[..., iu, ju]), axis=-1)
+    theta = _dot(x[..., 0] ** 2 + x[..., 1] ** 2, g)
+    m = np.stack([_dot(x[..., 0], g), _dot(x[..., 1], g)], axis=-1)
+    return h, theta, m
 
 
 def rhs(
@@ -73,21 +107,16 @@ def rhs(
 
     Parameters
     ----------
-    positions : (N, 2) array
+    positions : (N, 2) array, or an (..., N, 2) stack of states
     circulations : (N,) array of vortex strengths
     floor : minimum admissible pair separation
 
-    Returns the (N, 2) array of velocities.  Raises CoincidentVortices when
-    any pair sits closer than ``floor``.
+    Returns the velocities, shaped like ``positions``.  Raises
+    CoincidentVortices when any pair sits closer than ``floor``.
     """
     x = as_positions(positions)
-    g = as_circulations(circulations, x.shape[0])
-    d, rho2 = _separations(x, floor)
-    np.fill_diagonal(rho2, np.inf)
-    w = g[None, :] / rho2
-    vx = -(w * d[..., 1]).sum(axis=1)
-    vy = (w * d[..., 0]).sum(axis=1)
-    return np.stack([vx, vy], axis=1)
+    g = as_circulations(circulations, x.shape[-2])
+    return pair_kernel(x, g, floor)[0]
 
 
 def hamiltonian(
@@ -99,23 +128,22 @@ def hamiltonian(
     """Interaction energy of the configuration."""
     x = as_positions(positions)
     g = as_circulations(circulations, x.shape[0])
-    _, rho2 = _separations(x, floor)
-    iu, ju = np.triu_indices(x.shape[0], k=1)
-    return float(-0.5 * np.sum(g[iu] * g[ju] * np.log(rho2[iu, ju])))
+    return float(invariants(x, g, floor)[0])
 
 
 @dataclass(frozen=True, slots=True)
 class ConservedSet:
     """Snapshot of the conserved quantities.
 
-    ``r0`` is the stationary centroid, present only when the total strength
-    is nonzero.
+    Fields are floats for one state and arrays over the leading axes for a
+    stack.  ``r0`` is the stationary centroid, present only when the total
+    strength is nonzero.
     """
 
-    H: float
-    M: tuple[float, float]
-    Theta: float
-    r0: tuple[float, float] | None
+    H: float | FloatArray
+    M: tuple[float, float] | tuple[FloatArray, FloatArray]
+    Theta: float | FloatArray
+    r0: tuple[float, float] | tuple[FloatArray, FloatArray] | None
 
 
 def conserved(
@@ -124,42 +152,22 @@ def conserved(
 ) -> ConservedSet:
     """Evaluate energy, linear impulse, angular impulse and the centroid.
 
-    Never raises: a coincident pair sends the energy to +/-inf rather than
+    ``positions`` is one (N, 2) state or an (..., N, 2) stack.  Never
+    raises: a coincident pair sends the energy to +/-inf rather than
     aborting, so the impulses stay reportable at singular snapshots.
     """
     x = as_positions(positions)
-    g = as_circulations(circulations, x.shape[0])
-    d = x[:, None, :] - x[None, :, :]
-    rho2 = d[..., 0] ** 2 + d[..., 1] ** 2
-    iu, ju = np.triu_indices(x.shape[0], k=1)
-    with np.errstate(divide="ignore"):
-        h = float(-0.5 * np.sum(g[iu] * g[ju] * np.log(rho2[iu, ju])))
-    mx = float(np.dot(g, x[:, 0]))
-    my = float(np.dot(g, x[:, 1]))
-    theta = float(np.dot(g, x[:, 0] ** 2 + x[:, 1] ** 2))
+    g = as_circulations(circulations, x.shape[-2])
+    h, theta, m = invariants(x, g)
+    mx, my = m[..., 0], m[..., 1]
+    if x.ndim == 2:
+        h, theta, mx, my = float(h), float(theta), float(mx), float(my)
     total = float(g.sum())
     if abs(total) > 1e-12 * float(np.abs(g).sum()):
         r0 = (mx / total, my / total)
     else:
         r0 = None
     return ConservedSet(H=h, M=(mx, my), Theta=theta, r0=r0)
-
-
-def velocity_gradient(offset: tuple[float, float]) -> tuple[float, float, float, float]:
-    """Jacobian entries of the pair kernel K at a given offset.
-
-    Returns (dKx/ddx, dKx/ddy, dKy/ddx, dKy/ddy).  Used to propagate
-    accelerations without finite differencing.
-    """
-    dx, dy = offset
-    rho2 = dx * dx + dy * dy
-    rho4 = rho2 * rho2
-    return (
-        2.0 * dx * dy / rho4,
-        (dy * dy - dx * dx) / rho4,
-        (dy * dy - dx * dx) / rho4,
-        -2.0 * dx * dy / rho4,
-    )
 
 
 def flat_rhs(

@@ -171,43 +171,25 @@ def complete_pi(n: float, m: float) -> float:
     return complete_k(m) + n / 3.0 * carlson_rj(0.0, 1.0 - m, 1.0, 1.0 - n)
 
 
-def tanh_sinh(f, a: float, b: float, tol: float = 1e-12, max_level: int = 10) -> float:
-    """Double exponential quadrature on a finite interval.
-
-    Endpoint singularities up to inverse square roots are absorbed by the
-    transform. Raises QuadratureNonConvergence when level refinement stalls
-    above the requested tolerance.
-    """
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    tmax = 3.8
-
-    def node(t):
-        s = 0.5 * math.pi * math.sinh(t)
-        x = mid + half * math.tanh(s)
-        w = half * 0.5 * math.pi * math.cosh(t) / math.cosh(s) ** 2
-        return x, w
-
+def _refine_levels(center, term, tmax, tol, max_level):
+    # trapezoid sums in the transformed variable t on |t| <= tmax, halving
+    # the spacing each level; term(t) is weight times integrand at node t
     h = 1.0
-    x0, w0 = node(0.0)
-    total = w0 * f(x0)
+    total = center
     k = 1
     while k * h <= tmax:
-        for t in (k * h, -k * h):
-            x, w = node(t)
-            if w > 0.0 and a < x < b:
-                total += w * f(x)
+        total += term(k * h)
+        total += term(-k * h)
         k += 1
     prev = total * h
+    err = math.inf
     for level in range(1, max_level + 1):
         h *= 0.5
         extra = 0.0
         k = 1
         while k * h <= tmax:
-            for t in (k * h, -k * h):
-                x, w = node(t)
-                if w > 0.0 and a < x < b:
-                    extra += w * f(x)
+            extra += term(k * h)
+            extra += term(-k * h)
             k += 2  # only the new midpoints of this level
         total += extra
         current = total * h
@@ -218,48 +200,40 @@ def tanh_sinh(f, a: float, b: float, tol: float = 1e-12, max_level: int = 10) ->
     raise QuadratureNonConvergence(prev, err, tol)
 
 
-def _exp_sinh(g, tol: float = 1e-12, max_level: int = 10) -> float:
-    # integral of g over (0, infinity); nodes u = exp(pi/2 sinh t)
-    tmax = 4.4
+def tanh_sinh(f, a: float, b: float, tol: float = 1e-12, max_level: int = 10) -> float:
+    """Double exponential quadrature on a finite interval.
+
+    Endpoint singularities up to inverse square roots are absorbed by the
+    transform. Raises QuadratureNonConvergence when level refinement stalls
+    above the requested tolerance.
+    """
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
 
     def node(t):
         s = 0.5 * math.pi * math.sinh(t)
-        if abs(s) > 700.0:
-            return None
-        u = math.exp(s)
-        w = u * 0.5 * math.pi * math.cosh(t)
-        return u, w
+        x = mid + half * math.tanh(s)
+        w = half * 0.5 * math.pi * math.cosh(t) / math.cosh(s) ** 2
+        return x, w
 
-    h = 1.0
-    total = 0.5 * math.pi * g(1.0)  # t = 0 node
-    k = 1
-    while k * h <= tmax:
-        for t in (k * h, -k * h):
-            nw = node(t)
-            if nw is not None:
-                u, w = nw
-                total += w * g(u)
-        k += 1
-    prev = total * h
-    err = math.inf
-    for level in range(1, max_level + 1):
-        h *= 0.5
-        extra = 0.0
-        k = 1
-        while k * h <= tmax:
-            for t in (k * h, -k * h):
-                nw = node(t)
-                if nw is not None:
-                    u, w = nw
-                    extra += w * g(u)
-            k += 2
-        total += extra
-        current = total * h
-        err = abs(current - prev)
-        if err <= tol * max(1.0, abs(current)) and level >= 3:
-            return current
-        prev = current
-    raise QuadratureNonConvergence(prev, err, tol)
+    def term(t):
+        x, w = node(t)
+        return w * f(x) if w > 0.0 and a < x < b else 0.0
+
+    x0, w0 = node(0.0)
+    return _refine_levels(w0 * f(x0), term, 3.8, tol, max_level)
+
+
+def _exp_sinh(g, tol: float = 1e-12, max_level: int = 10) -> float:
+    # integral of g over (0, infinity); nodes u = exp(pi/2 sinh t)
+    def term(t):
+        s = 0.5 * math.pi * math.sinh(t)
+        if abs(s) > 700.0:
+            return 0.0
+        u = math.exp(s)
+        return u * 0.5 * math.pi * math.cosh(t) * g(u)
+
+    return _refine_levels(0.5 * math.pi * g(1.0), term, 4.4, tol, max_level)
 
 
 @dataclass(frozen=True, slots=True)
@@ -362,23 +336,23 @@ def delta_alpha_quadrature(theta: float, tol: float = 1e-11) -> float:
     c1 = t * t
     c2 = t * t - 8.0 * t
 
+    def lead(ysq):
+        return -8.0 * c1 / (ysq + c1) + 8.0 * c2 / (ysq + c2)
+
     if fac.regime in (REAL_REAL, REAL_IMAG):
         a_sq = fac.a_sq
         shift = a_sq - fac.b_sq if fac.regime == REAL_REAL else a_sq + fac.b_sq
 
         def g(u):
             ysq = a_sq + u * u
-            lead = -8.0 * c1 / (ysq + c1) + 8.0 * c2 / (ysq + c2)
-            return lead / (math.sqrt(ysq) * math.sqrt(u * u + shift))
+            return lead(ysq) / (math.sqrt(ysq) * math.sqrt(u * u + shift))
 
     elif fac.regime == COMPLEX_PAIR:
         b = t * t - 4.0 * t - 8.0
         off = -64.0 * (t + 1.0)  # C - B^2, positive here
 
         def g(u):
-            ysq = u * u
-            lead = -8.0 * c1 / (ysq + c1) + 8.0 * c2 / (ysq + c2)
-            return lead / math.sqrt((ysq + b) ** 2 + off)
+            return lead(u * u) / math.sqrt((u * u + b) ** 2 + off)
 
         if b < 0.0:
             # near the lower boundary the quartic almost touches zero at
@@ -392,9 +366,7 @@ def delta_alpha_quadrature(theta: float, tol: float = 1e-11) -> float:
     else:
 
         def g(u):
-            ysq = u * u
-            lead = -8.0 * c1 / (ysq + c1) + 8.0 * c2 / (ysq + c2)
-            return lead / math.sqrt((ysq + fac.a_sq) * (ysq + fac.b_sq))
+            return lead(u * u) / math.sqrt((u * u + fac.a_sq) * (u * u + fac.b_sq))
 
     return _exp_sinh(g, tol=tol, max_level=12)
 

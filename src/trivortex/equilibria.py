@@ -20,6 +20,7 @@ from .reduction import (
     SPHERE,
     NambuState,
     ReducedSystemSpec,
+    leaf_z,
     nambu_rhs,
     reduced_gradients,
     reduced_hamiltonian,
@@ -106,9 +107,13 @@ def jacobian(
     return jac, (complex(0.0), lam, -lam)
 
 
-def _with_eigenvalues(spec: ReducedSystemSpec, point: CriticalPoint) -> CriticalPoint:
-    _, eigs = jacobian(spec, point)
-    return replace(point, eigenvalues=eigs)
+def _with_eigenvalues(
+    spec: ReducedSystemSpec, points: list[CriticalPoint]
+) -> list[CriticalPoint]:
+    return [
+        replace(p, eigenvalues=jacobian(spec, p)[1]) if p.kind == EQUILIBRIUM else p
+        for p in points
+    ]
 
 
 def equilibria_111(theta: float) -> list[CriticalPoint]:
@@ -143,9 +148,7 @@ def equilibria_111(theta: float) -> list[CriticalPoint]:
             window, pair=(0, 2),
         ),
     ]
-    return [
-        _with_eigenvalues(spec, p) if p.kind == EQUILIBRIUM else p for p in points
-    ]
+    return _with_eigenvalues(spec, points)
 
 
 def equilibria_11m1(theta: float) -> list[CriticalPoint]:
@@ -191,13 +194,44 @@ def equilibria_11m1(theta: float) -> list[CriticalPoint]:
                 "Theta > 0",
             )
         )
-    return [
-        _with_eigenvalues(spec, p) if p.kind == EQUILIBRIUM else p for p in points
-    ]
+    return _with_eigenvalues(spec, points)
 
 
-def _leaf_z(theta: float, x: float, y: float = 0.0) -> float:
-    return math.sqrt(theta * theta + x * x + y * y)
+def _branches(gamma: float, theta: float) -> tuple[dict, bool]:
+    """Every (1, Gamma, -1) branch on the leaf ``theta``.
+
+    Maps each label, in catalog order, to (X, exists, window), and says
+    whether the collinear pair sits exactly at its fold.  X is nan where
+    the formula has no real or finite value.
+    """
+    g = gamma
+    disc = 4.0 * g * g - 3.0
+    pole = g * g - 1.0
+    pair = disc >= -_DISC_TOL
+    x_plus = x_minus = math.nan
+    if pair:
+        root = math.sqrt(max(disc, 0.0))
+        # written to stay finite through Gamma = 1
+        x_plus = 4.0 * g * theta * pole / (1.0 - 2.0 * g * g - root)
+        if pole != 0.0:
+            x_minus = g * theta * (1.0 - 2.0 * g * g - root) / pole
+    branches = {
+        "E_tri": (g * theta * (g - 1.0) / (g + 1.0), theta < 0.0, "Theta < 0"),
+        "E_-1": (x_plus, theta > 0.0 and pair, "Theta > 0 and Gamma >= sqrt(3)/2"),
+    }
+    if theta > 0.0:
+        branches["E_Gamma"] = (
+            x_minus, pair and g < 1.0, "Theta > 0 and sqrt(3)/2 <= Gamma < 1"
+        )
+    else:
+        branches["E_1"] = (x_minus, g > 1.0, "Theta < 0 and Gamma > 1")
+    branches["S_1Gamma"] = (0.0, theta < 0.0, "Theta < 0")
+    branches["S_-1Gamma"] = (
+        2.0 * g * theta / pole if pole != 0.0 else math.nan,
+        theta * (g - 1.0) > 0.0,
+        "Theta*(Gamma-1) > 0",
+    )
+    return branches, abs(disc) <= _DISC_TOL
 
 
 def equilibria_gamma(gamma: float, theta: float) -> list[CriticalPoint]:
@@ -215,71 +249,31 @@ def equilibria_gamma(gamma: float, theta: float) -> list[CriticalPoint]:
         raise ValueError("Theta must be finite and nonzero")
 
     spec = ReducedSystemSpec.for_circulations([1.0, gamma, -1.0])
-    g = gamma
+    branches, fold = _branches(gamma, theta)
     points: list[CriticalPoint] = []
-
-    if theta < 0.0:
-        x_tri = g * theta * (g - 1.0) / (g + 1.0)
-        side = math.sqrt(3.0) * g * theta
-        for sgn, tag in ((1.0, "E_tri+"), (-1.0, "E_tri-")):
-            y = sgn * side
-            points.append(
-                CriticalPoint(
-                    (x_tri, y, _leaf_z(theta, x_tri, y)), theta, HYPERBOLOID,
-                    EQUILIBRIUM, tag, "Theta < 0",
+    for label, (x, exists, window) in branches.items():
+        if not exists:
+            continue
+        if label == "E_tri":
+            side = math.sqrt(3.0) * gamma * theta
+            for y, tag in ((side, "E_tri+"), (-side, "E_tri-")):
+                points.append(
+                    CriticalPoint(
+                        (x, y, float(leaf_z(theta, x, y))), theta, HYPERBOLOID,
+                        EQUILIBRIUM, tag, window,
+                    )
                 )
-            )
-
-    disc = 4.0 * g * g - 3.0
-    degenerate = abs(disc) <= _DISC_TOL
-    if disc >= -_DISC_TOL:
-        root = math.sqrt(max(disc, 0.0))
-        if theta > 0.0:
-            # written to stay finite through Gamma = 1
-            x_plus = 4.0 * g * theta * (g * g - 1.0) / (1.0 - 2.0 * g * g - root)
-            points.append(
-                CriticalPoint(
-                    (x_plus, 0.0, _leaf_z(theta, x_plus)), theta, HYPERBOLOID,
-                    EQUILIBRIUM, "E_-1", "Theta > 0 and Gamma >= sqrt(3)/2",
-                    degenerate=degenerate,
-                )
-            )
-        x_minus = g * theta * (1.0 - 2.0 * g * g - root) / (g * g - 1.0)
-        if theta > 0.0 and g < 1.0:
-            points.append(
-                CriticalPoint(
-                    (x_minus, 0.0, _leaf_z(theta, x_minus)), theta, HYPERBOLOID,
-                    EQUILIBRIUM, "E_Gamma", "Theta > 0 and sqrt(3)/2 <= Gamma < 1",
-                    degenerate=degenerate,
-                )
-            )
-        elif theta < 0.0 and g > 1.0:
-            points.append(
-                CriticalPoint(
-                    (x_minus, 0.0, _leaf_z(theta, x_minus)), theta, HYPERBOLOID,
-                    EQUILIBRIUM, "E_1", "Theta < 0 and Gamma > 1",
-                )
-            )
-
-    if theta < 0.0:
+            continue
+        singular = label.startswith("S_")
         points.append(
             CriticalPoint(
-                (0.0, 0.0, -theta), theta, HYPERBOLOID, SINGULARITY, "S_1Gamma",
-                "Theta < 0", pair=(0, 1),
+                (x, 0.0, float(leaf_z(theta, x, 0.0))), theta, HYPERBOLOID,
+                SINGULARITY if singular else EQUILIBRIUM, label, window,
+                pair={"S_1Gamma": (0, 1), "S_-1Gamma": (1, 2)}.get(label),
+                degenerate=fold and not singular,
             )
         )
-    if theta * (g - 1.0) > 0.0:
-        x_s = 2.0 * g * theta / (g * g - 1.0)
-        points.append(
-            CriticalPoint(
-                (x_s, 0.0, _leaf_z(theta, x_s)), theta, HYPERBOLOID, SINGULARITY,
-                "S_-1Gamma", "Theta*(Gamma-1) > 0", pair=(1, 2),
-            )
-        )
-
-    return [
-        _with_eigenvalues(spec, p) if p.kind == EQUILIBRIUM else p for p in points
-    ]
+    return _with_eigenvalues(spec, points)
 
 
 def separatrix_energy(gamma: float, theta: float) -> float | None:
@@ -321,13 +315,11 @@ def critical_rho(gamma: float) -> tuple[float, float | None]:
     if not (gamma > 0.0) or not math.isfinite(gamma):
         raise ValueError("Gamma must be positive and finite")
     g = gamma
-    disc = 4.0 * g * g - 3.0
-    if disc < -_DISC_TOL:
-        return (-1.0, None)
-    root = math.sqrt(max(disc, 0.0))
     # collinear saddle on the Theta = 1 leaf; scaling in Theta then gives
     # the critical leaf in closed form
-    x1 = 4.0 * g * (g * g - 1.0) / (1.0 - 2.0 * g * g - root)
+    x1, exists, _ = _branches(g, 1.0)[0]["E_-1"]
+    if not exists:
+        return (-1.0, None)
     z1 = math.sqrt(1.0 + x1 * x1)
     a1 = (z1 + 1.0) * (1.0 + g) / (2.0 * g)
     d1 = (g * g + 1.0) * z1 + (1.0 - g * g) - 2.0 * g * x1
@@ -356,37 +348,11 @@ def bifurcation_sweep(
     if np.any(np.abs(gammas - 1.0) < 1e-12):
         raise ValueError("the grid hits the Gamma = 1 branch pole; shift it")
 
-    minus_label = "E_Gamma" if theta > 0.0 else "E_1"
-    columns = (
-        "Gamma",
-        "E_tri_X", "E_tri_exists",
-        "E_-1_X", "E_-1_exists",
-        f"{minus_label}_X", f"{minus_label}_exists",
-        "S_1Gamma_X", "S_1Gamma_exists",
-        "S_-1Gamma_X", "S_-1Gamma_exists",
-    )
     rows = []
     for g in map(float, gammas):
-        x_tri = g * theta * (g - 1.0) / (g + 1.0)
-        disc = 4.0 * g * g - 3.0
-        if disc >= -_DISC_TOL:
-            root = math.sqrt(max(disc, 0.0))
-            x_plus = 4.0 * g * theta * (g * g - 1.0) / (1.0 - 2.0 * g * g - root)
-            x_minus = g * theta * (1.0 - 2.0 * g * g - root) / (g * g - 1.0)
-        else:
-            x_plus = x_minus = math.nan
-        if theta > 0.0:
-            minus_exists = int(disc >= -_DISC_TOL and g < 1.0)
-        else:
-            minus_exists = int(g > 1.0)
+        branches, _ = _branches(g, theta)
         rows.append(
-            (
-                g,
-                x_tri, int(theta < 0.0),
-                x_plus, int(theta > 0.0 and disc >= -_DISC_TOL),
-                x_minus, minus_exists,
-                0.0, int(theta < 0.0),
-                2.0 * g * theta / (g * g - 1.0), int(theta * (g - 1.0) > 0.0),
-            )
+            (g, *(v for x, exists, _ in branches.values() for v in (x, int(exists))))
         )
+    columns = ("Gamma", *(f"{b}_{c}" for b in branches for c in ("X", "exists")))
     return columns, rows

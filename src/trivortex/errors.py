@@ -27,6 +27,15 @@ class StepSizeUnderflow(VortexError):
         super().__init__(f"step size underflow at t={t!r} (h={h:.3e})")
 
 
+class StepBudgetExceeded(VortexError):
+    """Adaptive integrator used up its step budget before the end time."""
+
+    def __init__(self, t: float, max_steps: int):
+        self.t = t
+        self.max_steps = max_steps
+        super().__init__(f"step budget of {max_steps} steps exhausted at t={t!r}")
+
+
 class NonFiniteRHS(VortexError):
     """Right-hand side returned a NaN or infinity."""
 

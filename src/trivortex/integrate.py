@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import NonFiniteRHS, StepSizeUnderflow
+from .errors import NonFiniteRHS, StepBudgetExceeded, StepSizeUnderflow
 
 FloatArray = NDArray[np.float64]
 RHS = Callable[[float, FloatArray], FloatArray]
@@ -197,8 +197,8 @@ def integrate(f: RHS, y0: FloatArray | Sequence[float], opts: IntegratorOptions)
 
     Negative spans are allowed; samples are returned in increasing time
     either way.  Raises StepSizeUnderflow when the controller pushes the
-    step below 1e-14 and NonFiniteRHS when the vector field stops being
-    finite.
+    step below 1e-14, StepBudgetExceeded after ``max_steps`` step attempts,
+    and NonFiniteRHS when the vector field stops being finite.
     """
     y = np.array(y0, dtype=np.float64).ravel()
     t = float(opts.t0)
@@ -234,7 +234,7 @@ def integrate(f: RHS, y0: FloatArray | Sequence[float], opts: IntegratorOptions)
     while not finished:
         nsteps += 1
         if nsteps > opts.max_steps:
-            raise StepSizeUnderflow(t, h)
+            raise StepBudgetExceeded(t, opts.max_steps)
         if h < _MIN_STEP:
             raise StepSizeUnderflow(t, h)
         if h >= abs(t_end - t):

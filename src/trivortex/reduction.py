@@ -71,6 +71,13 @@ def _kappas(g: FloatArray) -> tuple[float, float, float]:
     return float(g[0] * g[1] / g12), float(g12 * g[2] / g123), float(g123)
 
 
+def _relative_vectors(x: FloatArray, g: FloatArray) -> tuple[FloatArray, FloatArray]:
+    # R1 and R2 of one state (3, 2) or a stack (..., 3, 2)
+    r1, r2, r3 = x[..., 0, :], x[..., 1, :], x[..., 2, :]
+    pair_cm = (g[0] * r1 + g[1] * r2) / (g[0] + g[1])
+    return r1 - r2, pair_cm - r3
+
+
 def to_jacobi(
     positions: FloatArray | Sequence[Sequence[float]],
     circulations: FloatArray | Sequence[float],
@@ -78,23 +85,11 @@ def to_jacobi(
     """Relative-vector frame of a three-vortex state."""
     x = as_positions(positions)
     g = as_circulations(circulations, 3)
-    if x.shape[0] != 3:
-        raise ValueError(f"expected three vortices, got {x.shape[0]}")
-    k1, k2, k3 = _kappas(g)
-    g12 = g[0] + g[1]
-    r1, r2, r3 = x
-    pair_cm = (g[0] * r1 + g[1] * r2) / g12
-    R1 = r1 - r2
-    R2 = pair_cm - r3
-    R3 = (g[0] * r1 + g[1] * r2 + g[2] * r3) / k3
-    return JacobiFrame(
-        R1=(float(R1[0]), float(R1[1])),
-        R2=(float(R2[0]), float(R2[1])),
-        R3=(float(R3[0]), float(R3[1])),
-        kappa1=k1,
-        kappa2=k2,
-        kappa3=k3,
-    )
+    if x.shape != (3, 2):
+        raise ValueError(f"expected three vortices, got shape {x.shape}")
+    k3 = _kappas(g)[2]
+    R1, R2 = _relative_vectors(x, g)
+    return frame_from_vectors(R1, R2, g, (g[0] * x[0] + g[1] * x[1] + g[2] * x[2]) / k3)
 
 
 def frame_from_vectors(
@@ -155,8 +150,7 @@ class NambuState:
     def __post_init__(self) -> None:
         if self.geometry not in (SPHERE, HYPERBOLOID):
             raise ValueError(f"unknown geometry {self.geometry!r}")
-        res = self.casimir_residual()
-        scale = max(1.0, self.Theta**2, self.X**2 + self.Y**2 + self.Z**2)
+        res, scale = leaf_residual(self.geometry, self.X, self.Y, self.Z, self.Theta)
         # loose guard against mislabeled geometry; tight drift checks live
         # in the test suites where the provenance of the point is known
         if abs(res) > 1e-7 * scale:
@@ -168,9 +162,35 @@ class NambuState:
 
     def casimir_residual(self) -> float:
         """Defect of the quadratic identity tying the point to its leaf."""
-        if self.geometry == SPHERE:
-            return self.Theta**2 - (self.X**2 + self.Y**2 + self.Z**2)
-        return self.Theta**2 - (self.Z**2 - self.X**2 - self.Y**2)
+        return float(leaf_residual(self.geometry, self.X, self.Y, self.Z, self.Theta)[0])
+
+
+def leaf_residual(geometry: str, X, Y, Z, Theta) -> tuple:
+    """Casimir defect Theta^2 - Q(X, Y, Z) of the leaf identity and its scale
+    max(1, Theta^2, X^2 + Y^2 + Z^2), elementwise."""
+    if geometry == SPHERE:
+        res = -(X * X + Y * Y + Z * Z - Theta * Theta)
+    else:
+        res = -(Z * Z - X * X - Y * Y - Theta * Theta)
+    return res, np.maximum(np.maximum(1.0, Theta * Theta), X * X + Y * Y + Z * Z)
+
+
+def leaf_z(Theta, X, Y):
+    """Height sqrt(Theta^2 + X^2 + Y^2) of the hyperboloid leaf, elementwise."""
+    return np.sqrt(Theta * Theta + X * X + Y * Y)
+
+
+def _nambu(kappa1: float, kappa2: float, R1: FloatArray, R2: FloatArray) -> tuple:
+    # (X, Y, Z, Theta) of relative vectors over any leading axes
+    s1, s2 = math.sqrt(kappa1), math.sqrt(abs(kappa2))
+    a, b = s1 * R1[..., 0], s1 * R1[..., 1]
+    c, d = s2 * R2[..., 0], s2 * R2[..., 1]
+    h1, h2 = np.hypot(a, b), np.hypot(c, d)
+    n1, n2 = h1 * h1, h2 * h2  # not ** 2: NumPy squares arrays but pow()s scalars
+    X, Y = 2.0 * (a * c + b * d), 2.0 * (b * c - a * d)
+    if kappa2 > 0.0:
+        return X, Y, n1 - n2, n1 + n2
+    return X, Y, n1 + n2, n1 - n2
 
 
 def to_nambu(frame: JacobiFrame) -> NambuState:
@@ -187,17 +207,12 @@ def to_nambu(frame: JacobiFrame) -> NambuState:
         )
     if frame.kappa2 == 0.0:
         raise DegenerateCirculationSum("kappa2 is zero (third strength vanishes)")
-    m1 = math.sqrt(frame.kappa1) * complex(*frame.R1)
-    m2 = math.sqrt(abs(frame.kappa2)) * complex(*frame.R2)
-    w = 2.0 * m1 * m2.conjugate()
-    n1 = abs(m1) ** 2
-    n2 = abs(m2) ** 2
-    if frame.kappa2 > 0.0:
-        return NambuState(
-            X=w.real, Y=w.imag, Z=n1 - n2, Theta=n1 + n2, geometry=SPHERE
-        )
+    X, Y, Z, theta = _nambu(
+        frame.kappa1, frame.kappa2, np.array(frame.R1), np.array(frame.R2)
+    )
     return NambuState(
-        X=w.real, Y=w.imag, Z=n1 + n2, Theta=n1 - n2, geometry=HYPERBOLOID
+        X=float(X), Y=float(Y), Z=float(Z), Theta=float(theta),
+        geometry=SPHERE if frame.kappa2 > 0.0 else HYPERBOLOID,
     )
 
 
@@ -438,20 +453,28 @@ def reduced_rhs_flat(spec: ReducedSystemSpec, theta: float):
     return f
 
 
+def heading_rate(X, Y, Theta: float):
+    """Heading rate -4 Theta Y^2 / ((X^2 + Y^2)(Theta^2 + Y^2)) of the lone
+    vortex, (1, 1, -1) family, elementwise; zero on the Theta = 0 leaf."""
+    if Theta == 0.0:
+        return np.zeros(np.shape(X))
+    y2 = Y * Y
+    return np.divide(-4.0 * Theta * y2, (X * X + y2) * (Theta * Theta + y2))
+
+
 def alpha_rate(s: NambuState) -> float:
     """Turning rate of the lone vortex's velocity heading.
 
     Valid for the (1, 1, -1) family.  Vanishes identically on the Theta = 0
     leaf and at collinear instants.
     """
-    if s.Theta == 0.0:
-        return 0.0
-    den = (s.X**2 + s.Y**2) * (s.Theta**2 + s.Y**2)
-    if den == 0.0:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rate = float(heading_rate(s.X, s.Y, s.Theta))
+    if not math.isfinite(rate):
         raise DegenerateDenominator(
             f"heading rate undefined at X={s.X}, Y={s.Y}, Theta={s.Theta}"
         )
-    return -4.0 * s.Theta * s.Y**2 / den
+    return rate
 
 
 def theta2_rate(s: NambuState) -> float:
@@ -464,7 +487,7 @@ def theta2_rate(s: NambuState) -> float:
         raise DegenerateDenominator(
             f"phase rate undefined at X={s.X}, Y={s.Y}, Theta={s.Theta}"
         )
-    root = math.sqrt(s.Theta**2 + s.X**2 + s.Y**2)
+    root = float(leaf_z(s.Theta, s.X, s.Y))
     return (2.0 * s.Y**2 * root - 2.0 * s.Theta * s.X**2) / den
 
 
@@ -494,10 +517,20 @@ def reduce_state(
     """Relabel, frame and map one lab state to its shape point."""
     if spec is None:
         spec = ReducedSystemSpec.for_circulations(circulations)
-    x = as_positions(positions)
-    xp = x[list(spec.permutation)]
-    fr = to_jacobi(xp, spec.circulations)
-    return spec, to_nambu(fr)
+    X, Y, Z, theta = shape_map(positions, spec)
+    return spec, NambuState(
+        X=float(X), Y=float(Y), Z=float(Z), Theta=float(theta), geometry=spec.geometry
+    )
+
+
+def shape_map(
+    positions: FloatArray | Sequence[Sequence[float]], spec: ReducedSystemSpec
+) -> tuple[FloatArray, FloatArray, FloatArray, FloatArray]:
+    """(X, Y, Z, Theta) of a lab state (3, 2) or stack (..., 3, 2), as arrays
+    over the leading axes holding what ``reduce_state`` gives per state."""
+    x = as_positions(positions)[..., spec.permutation, :]
+    R1, R2 = _relative_vectors(x, spec.circulations)
+    return _nambu(spec.kappa1, spec.kappa2, R1, R2)
 
 
 def map_trajectory(
@@ -508,15 +541,10 @@ def map_trajectory(
     """Map every sample of a three-vortex trajectory to shape space."""
     if spec is None:
         spec = ReducedSystemSpec.for_circulations(circulations)
-    n = traj.ys.shape[0]
-    pts = np.empty((n, 3))
-    th = np.empty(n)
-    for i in range(n):
-        _, s = reduce_state(traj.ys[i].reshape(3, 2), circulations, spec=spec)
-        pts[i] = (s.X, s.Y, s.Z)
-        th[i] = s.Theta
+    X, Y, Z, theta = shape_map(traj.ys.reshape(-1, 3, 2), spec)
     return ReducedPath(
-        ts=traj.ts.copy(), points=pts, theta=th, geometry=spec.geometry, spec=spec
+        ts=traj.ts.copy(), points=np.stack([X, Y, Z], axis=1), theta=theta,
+        geometry=spec.geometry, spec=spec,
     )
 
 

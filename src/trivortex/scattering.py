@@ -10,16 +10,17 @@ satisfies a finite-time surrogate of escape to infinity.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import as_circulations, as_positions, flat_rhs, rhs
+from .core import as_circulations, as_positions, flat_rhs, invariants, pair_kernel
 from .errors import BadSetup, NoEscape, VortexError
 from .integrate import IntegratorOptions, integrate
-from .reduction import ReducedSystemSpec, reduce_state
+from .reduction import ReducedSystemSpec, heading_rate, reduce_state, shape_map
 
 FloatArray = NDArray[np.float64]
 
@@ -126,45 +127,6 @@ def asymptotic_reduced_energy(gamma: float, spacing: float = 1.0) -> float:
     return math.log(gamma * spacing) + spec.offset
 
 
-def _velocity3(ys: FloatArray, g: FloatArray) -> FloatArray:
-    # lab velocity of vortex index 2, vectorized over samples
-    r = ys.reshape(-1, 3, 2)
-    out = np.zeros((r.shape[0], 2))
-    for j in (0, 1):
-        dx = r[:, 2, 0] - r[:, j, 0]
-        dy = r[:, 2, 1] - r[:, j, 1]
-        rr = dx * dx + dy * dy
-        out[:, 0] -= g[j] * dy / rr
-        out[:, 1] += g[j] * dx / rr
-    return out
-
-
-def _shape_xy(ys: FloatArray, gamma: float) -> tuple[FloatArray, FloatArray]:
-    # first two shape-plane coordinates for strengths (1, gamma, -1),
-    # vectorized; matches reduction.reduce_state on each sample
-    r = ys.reshape(-1, 3, 2)
-    z1 = r[:, 0, 0] + 1j * r[:, 0, 1]
-    z2 = r[:, 1, 0] + 1j * r[:, 1, 1]
-    z3 = r[:, 2, 0] + 1j * r[:, 2, 1]
-    c1 = z1 - z2
-    c2 = (z1 + gamma * z2) / (1.0 + gamma) - z3
-    k1 = gamma / (1.0 + gamma)
-    k2 = (1.0 + gamma) / gamma
-    w = 2.0 * math.sqrt(k1 * k2) * c1 * np.conj(c2)
-    return w.real, w.imag
-
-
-def _lab_invariants(ys: FloatArray, g: FloatArray) -> tuple[FloatArray, ...]:
-    r = ys.reshape(-1, 3, 2)
-    h = np.zeros(r.shape[0])
-    for i, j in ((0, 1), (1, 2), (0, 2)):
-        sq = np.sum((r[:, i] - r[:, j]) ** 2, axis=1)
-        h -= 0.5 * g[i] * g[j] * np.log(sq)
-    theta = np.einsum("i,nij,nij->n", g, r, r)
-    impulse = np.einsum("i,nij->nj", g, r)
-    return h, theta, impulse
-
-
 def _pair_distances(pos: FloatArray) -> tuple[float, float]:
     d13 = float(np.hypot(*(pos[2] - pos[0])))
     d23 = float(np.hypot(*(pos[2] - pos[1])))
@@ -174,9 +136,9 @@ def _pair_distances(pos: FloatArray) -> tuple[float, float]:
 class _Accumulator:
     """Streaming per-chunk reductions so long runs stay in fixed memory."""
 
-    def __init__(self, g: FloatArray, gamma: float, theta: float) -> None:
+    def __init__(self, g: FloatArray, spec: ReducedSystemSpec, theta: float) -> None:
         self.g = g
-        self.gamma = gamma
+        self.spec = spec
         self.theta = theta
         self.launch_heading: float | None = None
         self.prev_heading: float | None = None
@@ -195,9 +157,10 @@ class _Accumulator:
         self.ts_tail: FloatArray = np.empty(0)
         self.headings_tail: FloatArray = np.empty(0)
 
-    def feed(self, ts: FloatArray, ys: FloatArray, rates: FloatArray) -> None:
-        v3 = _velocity3(ys, self.g)
-        raw = np.arctan2(v3[:, 1], v3[:, 0])
+    def feed(self, ts: FloatArray, ys: FloatArray) -> None:
+        r = ys.reshape(-1, 3, 2)
+        v, rho2 = pair_kernel(r, self.g)
+        raw = np.arctan2(v[:, 2, 1], v[:, 2, 0])
         if self.prev_heading is None:
             headings = np.unwrap(raw)
             self.launch_heading = float(headings[0])
@@ -208,7 +171,7 @@ class _Accumulator:
         self.ts_tail = ts
         self.headings_tail = headings
 
-        x, y = _shape_xy(ys, self.gamma)
+        x, y, _, _ = shape_map(r, self.spec)
         xs = np.concatenate(([self.prev_x], x)) if self.prev_x is not None else x
         ys_shape = (
             np.concatenate(([self.prev_y], y)) if self.prev_y is not None else y
@@ -219,6 +182,7 @@ class _Accumulator:
         self.prev_x, self.prev_y = float(x[-1]), float(y[-1])
 
         if self.theta != 0.0:
+            rates = heading_rate(x, y, self.theta)
             # Simpson over each accepted step, 4 equal subintervals
             n = (len(ts) - 1) // 4
             for i in range(n):
@@ -236,12 +200,9 @@ class _Accumulator:
                     )
                 )
 
-        r = ys.reshape(-1, 3, 2)
-        for i, j in ((0, 1), (1, 2), (0, 2)):
-            sep = np.sqrt(np.sum((r[:, i] - r[:, j]) ** 2, axis=1))
-            self.min_distance = min(self.min_distance, float(sep.min()))
+        self.min_distance = min(self.min_distance, float(np.sqrt(rho2.min())))
 
-        h_arr, th_arr, m_arr = _lab_invariants(ys, self.g)
+        h_arr, th_arr, m_arr = invariants(r, self.g)
         if self.ref is None:
             self.ref = (float(h_arr[0]), float(th_arr[0]), m_arr[0].copy())
         h0, th0, m0 = self.ref
@@ -308,7 +269,7 @@ def run_from_state(
     probe = 2.0 * tau
 
     f = flat_rhs(g)
-    acc = _Accumulator(g, gamma, theta)
+    acc = _Accumulator(g, rspec, theta)
     d13, d23 = _pair_distances(pos)
     initial_partner = 0 if d13 <= d23 else 1
 
@@ -327,17 +288,7 @@ def run_from_state(
         )
         traj = integrate(f, y, o)
         ts_f, ys_f = _refine_chunk(traj, t, y)
-        if theta != 0.0:
-            x_arr, y_arr = _shape_xy(ys_f, gamma)
-            rates = (
-                -4.0
-                * theta
-                * y_arr**2
-                / ((x_arr**2 + y_arr**2) * (theta**2 + y_arr**2))
-            )
-        else:
-            rates = np.zeros(len(ts_f))
-        acc.feed(ts_f, ys_f, rates)
+        acc.feed(ts_f, ys_f)
 
         t = float(traj.ts[-1])
         y = traj.ys[-1].copy()
@@ -436,17 +387,19 @@ def sweep(
 ) -> tuple[tuple[str, ...], list[tuple]]:
     """Scattering angle over a grid of offsets.
 
-    Rows are independent; they are computed (optionally in parallel) and
-    always reported in the order the offsets were given.  A row that hits
-    the time budget is flagged rather than aborting the sweep.
+    Rows are independent; they are computed (optionally in parallel, on at
+    most one worker per row and per CPU) and always reported in the order
+    the offsets were given.  A row that hits the time budget is flagged
+    rather than aborting the sweep.
     """
     base = opts if opts is not None else IntegratorOptions()
     payloads = [
         (float(r), gamma, launch, spacing, base.rtol, base.atol, t_max)
         for r in rhos
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(payloads), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_row, payloads))
     else:
         rows = [_sweep_row(p) for p in payloads]

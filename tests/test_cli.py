@@ -9,7 +9,9 @@ import math
 import numpy as np
 import pytest
 
-from trivortex.cli import main
+from trivortex import cli
+from trivortex.cli import MAX_VALUES, _parse_values, main
+from trivortex.errors import StepBudgetExceeded
 
 
 def run_cli(args):
@@ -240,3 +242,34 @@ def test_bifurcation_table_shape():
     exists = {float(r[0]): int(r[4]) for r in rows}
     assert exists[0.75] == 0
     assert exists[0.95] == 1
+
+
+def test_oversized_inputs_are_usage_errors_before_any_work():
+    # the range length is computed, never built: a billion-element range
+    # fails as fast as a short one
+    with pytest.raises(ValueError, match="more than"):
+        _parse_values(f"0:{10 * MAX_VALUES}:1", "--rho")
+    assert len(_parse_values(f"1:{MAX_VALUES}:1", "--rho")) == MAX_VALUES
+    for args in (
+        ["sweep", "--rho", "0:1e9:1"],
+        ["sweep", "--rho", "0:1e308:1e-308"],
+        ["sweep", "--rho", "0.5", "--jobs", "0"],
+        ["sweep", "--rho", "0.5", "--jobs", "-3"],
+        ["simulate", "--rho", "0.5", "--samples", str(MAX_VALUES + 1)],
+        ["reduced", "--rho", "0.5", "--samples", "2000000000"],
+        ["reduced", "--levels", str(MAX_VALUES + 1), "--gamma", "1", "--theta", "-1"],
+        ["bifurcation", "--gammas", "0.5:1e9:1e-3"],
+    ):
+        code, out, err = run_cli(args)
+        assert (code, out) == (1, ""), args
+        assert err
+
+
+def test_step_budget_exhaustion_exits_numerical(monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise StepBudgetExceeded(1.5, 3)
+
+    monkeypatch.setattr(cli, "integrate", exhausted)
+    code, out, err = run_cli(["simulate", "--rho", "2.5", "--t-end", "5"])
+    assert (code, out) == (2, "")
+    assert "StepBudgetExceeded" in err

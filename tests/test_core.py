@@ -6,8 +6,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from trivortex.core import ConservedSet, conserved, hamiltonian, rhs
+from trivortex.core import ConservedSet, conserved, hamiltonian, pair_kernel, rhs
 from trivortex.errors import CoincidentVortices
 
 
@@ -141,3 +143,32 @@ def test_impulse_identity_links_theta_and_pair_distances():
                 lhs += g[i] * g[j] * ((x[i] - x[j]) ** 2).sum()
         rhs_val = g.sum() * c.Theta - c.M[0] ** 2 - c.M[1] ** 2
         assert lhs == pytest.approx(rhs_val, rel=1e-10, abs=1e-10)
+
+
+_coord = st.floats(-50.0, 50.0, allow_nan=False)
+_stacks = st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.lists(_coord, min_size=6, max_size=6), min_size=n, max_size=n)
+)
+_strengths = st.lists(st.floats(-3.0, 3.0, allow_nan=False), min_size=3, max_size=3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_stacks, _strengths)
+def test_stacked_kernel_and_invariants_equal_each_state(states, g):
+    # one call on a stack gives, bit for bit, the per-state numbers
+    x = np.array(states).reshape(-1, 3, 2)
+    d = x[:, :, None, :] - x[:, None, :, :]
+    assume(np.all((d**2).sum(axis=-1) + np.eye(3) > 1e-6))
+    g = np.array(g)
+    v, rho2 = pair_kernel(x, g)
+    c = conserved(x, g)
+    for i, xi in enumerate(x):
+        assert np.array_equal(v[i], rhs(xi, g))
+        pairs = ((0, 1), (0, 2), (1, 2))
+        assert rho2[i].min() == min(((xi[a] - xi[b]) ** 2).sum() for a, b in pairs)
+        ci = conserved(xi, g)
+        assert (c.H[i], c.Theta[i], c.M[0][i], c.M[1][i]) == (ci.H, ci.Theta, *ci.M)
+        if ci.r0 is None:
+            assert c.r0 is None
+        else:
+            assert (c.r0[0][i], c.r0[1][i]) == ci.r0

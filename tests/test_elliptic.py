@@ -142,6 +142,9 @@ def test_quadrature_helper_flags_stalls():
     # one refinement level cannot resolve an endpoint power this strong
     with pytest.raises(QuadratureNonConvergence):
         tanh_sinh(lambda x: x**-0.999, 0.0, 1.0, tol=1e-14, max_level=1)
+    # no refinement level at all is a stall too, not an unbound error
+    with pytest.raises(QuadratureNonConvergence):
+        tanh_sinh(math.sqrt, 0.0, 1.0, max_level=0)
 
 
 def _regime_samples(rng, regime, count):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from trivortex.core import flat_rhs
-from trivortex.errors import StepSizeUnderflow
+from trivortex.errors import StepBudgetExceeded, StepSizeUnderflow
 from trivortex.integrate import (
     EventSpec,
     IntegratorOptions,
@@ -159,3 +159,13 @@ def test_tolerance_halving_improves_scattering_endpoints():
             out = integrate(f, y0, IntegratorOptions(t_end=T, rtol=rtol, atol=rtol * 1e-2)).ys[-1]
             errs.append(float(np.max(np.abs(out - ref))))
         assert errs[1] < errs[0] and errs[2] < errs[1]
+
+
+def test_exhausted_step_budget_is_its_own_error():
+    # a dipole needs far more than three steps for 100 time units; running
+    # out of steps is not a step size underflow
+    f = flat_rhs([1.0, -1.0])
+    with pytest.raises(StepBudgetExceeded) as exc:
+        integrate(f, [0.0, 0.5, 0.0, -0.5], IntegratorOptions(t_end=100.0, max_steps=3))
+    assert not isinstance(exc.value, StepSizeUnderflow)
+    assert exc.value.max_steps == 3 and "3 steps" in str(exc.value)

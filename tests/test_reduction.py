@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trivortex.core import flat_rhs, hamiltonian, rhs as lab_rhs
 from trivortex.errors import (
@@ -23,6 +25,7 @@ from trivortex.reduction import (
     alpha_rate,
     frame_from_vectors,
     from_jacobi,
+    heading_rate,
     integrate_reduced,
     map_trajectory,
     nambu_rhs,
@@ -30,6 +33,7 @@ from trivortex.reduction import (
     reduce_state,
     reduced_gradients,
     reduced_hamiltonian,
+    shape_map,
     theta2_rate,
     to_jacobi,
     to_nambu,
@@ -386,3 +390,40 @@ def test_shape_fiber_inverse():
             assert (s2.X, s2.Y, s2.Z, s2.Theta) == pytest.approx(
                 (s.X, s.Y, s.Z, s.Theta), rel=1e-10, abs=1e-10
             )
+
+
+_coord = st.floats(-50.0, 50.0, allow_nan=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.lists(_coord, min_size=6, max_size=6), min_size=1, max_size=6),
+    st.sampled_from(
+        ([1.0, 1.0, 1.0], [1.0, 1.0, -1.0], [1.0, 0.4, -1.0], [2.0, -1.0, 0.5])
+    ),
+)
+def test_stacked_shape_map_equals_each_state(states, g):
+    x = np.array(states).reshape(-1, 3, 2)
+    spec = ReducedSystemSpec.for_circulations(g)
+    X, Y, Z, theta = shape_map(x, spec)
+    for i, xi in enumerate(x):
+        _, s = reduce_state(xi, g, spec)
+        assert (X[i], Y[i], Z[i], theta[i]) == (s.X, s.Y, s.Z, s.Theta)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(_coord, _coord), min_size=1, max_size=8),
+    st.floats(-20.0, 20.0, allow_nan=False),
+)
+def test_stacked_heading_rate_equals_each_point(points, theta):
+    X, Y = np.array(points).T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rates = heading_rate(X, Y, theta)
+    for i, (x, y) in enumerate(points):
+        s = NambuState(x, y, math.sqrt(theta * theta + x * x + y * y), theta, HYPERBOLOID)
+        if math.isfinite(rates[i]):
+            assert rates[i] == alpha_rate(s)
+        else:
+            with pytest.raises(DegenerateDenominator):
+                alpha_rate(s)

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from trivortex.core import flat_rhs
 from trivortex.elliptic import delta_alpha_closed
 from trivortex.equilibria import separatrix_energy
-from trivortex.errors import BadSetup, NoEscape
+from trivortex import scattering
+from trivortex.errors import BadSetup, NoEscape, StepBudgetExceeded
 from trivortex.integrate import IntegratorOptions, integrate
 from trivortex.reduction import reduce_state, reduced_hamiltonian
 from trivortex.scattering import (
@@ -301,3 +302,48 @@ def test_far_offsets_scatter_directly(rho):
     assert res.outcome == DIRECT
     assert res.partner == 0
     assert not res.crossed_positive_x
+
+
+class _RecordingPool:
+    """Stands in for the process pool: records its size, maps in-process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_sweep_starts_no_more_workers_than_rows_or_cpus(monkeypatch):
+    # rows whose launch is too close fail fast, so no run is integrated
+    monkeypatch.setattr(scattering, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(scattering.os, "cpu_count", lambda: 4)
+    _RecordingPool.sizes = []
+    _, rows = sweep([1.0, 2.0, 3.0], launch=5.0, jobs=100_000)
+    assert _RecordingPool.sizes == [3]
+    assert [r[4] for r in rows] == ["error:BadSetup"] * 3
+    sweep([1.0] * 10, launch=5.0, jobs=100_000)
+    assert _RecordingPool.sizes == [3, 4]
+    sweep([1.0] * 10, launch=5.0, jobs=2)
+    sweep([1.0], launch=5.0, jobs=100_000)  # one row runs in-process
+    monkeypatch.setattr(scattering.os, "cpu_count", lambda: None)
+    sweep([1.0] * 10, launch=5.0, jobs=100_000)
+    assert _RecordingPool.sizes == [3, 4, 2]
+
+
+def test_sweep_flags_an_exhausted_step_budget(monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise StepBudgetExceeded(0.0, 3)
+
+    monkeypatch.setattr(scattering, "integrate", exhausted)
+    _, rows = sweep([2.5])
+    assert rows == [(2.5, 6.0, rows[0][2], "", "error:StepBudgetExceeded")]
+    assert math.isnan(rows[0][2])
