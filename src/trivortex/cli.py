@@ -30,10 +30,10 @@ from .equilibria import (
 from .errors import BadSetup, BoundaryTheta, VortexError
 from .integrate import IntegratorOptions, integrate
 from .reduction import (
+    LeafGrid,
     ReducedSystemSpec,
     heading_rate,
     leaf_residual,
-    leaf_z,
     reduce_state,
     reduced_hamiltonian,
     reduced_rhs_flat,
@@ -301,52 +301,6 @@ def _auto_levels(h_grid: np.ndarray, anchors: list[float], count: int):
     return seen
 
 
-# marching squares: cell corner bits (f00, f10, f11, f01) -> edge pairs;
-# edges 0..3 are bottom, right, top, left
-_EDGE_ENDS = {0: ((0, 0), (1, 0)), 1: ((1, 0), (1, 1)),
-              2: ((0, 1), (1, 1)), 3: ((0, 0), (0, 1))}
-_CASES = {
-    1: [(3, 0)], 2: [(0, 1)], 3: [(3, 1)], 4: [(1, 2)],
-    6: [(0, 2)], 7: [(3, 2)], 8: [(2, 3)], 9: [(0, 2)],
-    11: [(1, 2)], 12: [(3, 1)], 13: [(0, 1)], 14: [(3, 0)],
-}
-
-
-def _cell_segments(f, level):
-    # f = (f00, f10, f11, f01); returns [(edge_a, t_a, edge_b, t_b), ...]
-    bits = (
-        (f[0] > level)
-        | ((f[1] > level) << 1)
-        | ((f[2] > level) << 2)
-        | ((f[3] > level) << 3)
-    )
-    if bits in (0, 15):
-        return []
-    if bits == 5:
-        center = 0.25 * sum(f)
-        pairs = [(3, 2), (0, 1)] if center > level else [(3, 0), (1, 2)]
-    elif bits == 10:
-        center = 0.25 * sum(f)
-        pairs = [(3, 0), (1, 2)] if center > level else [(3, 2), (0, 1)]
-    else:
-        pairs = _CASES[bits]
-    corner_vals = {(0, 0): f[0], (1, 0): f[1], (1, 1): f[2], (0, 1): f[3]}
-    out = []
-    for ea, eb in pairs:
-        seg = []
-        for e in (ea, eb):
-            (ca, cb) = _EDGE_ENDS[e]
-            fa, fb = corner_vals[ca], corner_vals[cb]
-            seg.append((e, (level - fa) / (fb - fa)))
-        out.append((seg[0][0], seg[0][1], seg[1][0], seg[1][1]))
-    return out
-
-
-def _edge_point(i, j, edge, t):
-    (ax, ay), (bx, by) = _EDGE_ENDS[edge]
-    return i + ax + t * (bx - ax), j + ay + t * (by - ay)
-
-
 def _reduced_levels(ns) -> tuple[tuple, list]:
     catalog, spec = _family(ns)
     if ns.theta is None:
@@ -367,86 +321,33 @@ def _reduced_levels(ns) -> tuple[tuple, list]:
             if count > MAX_VALUES:
                 raise ValueError(f"--levels asks for more than {MAX_VALUES} levels")
 
-    n = 201
-    anchors = []
-    points = []
     try:
-        points = catalog(theta)
+        points = [p for p in catalog(theta) if p.kind == "equilibrium"]
     except VortexError:
         points = []
+    anchors = []
     for p in points:
-        if p.kind != "equilibrium":
-            continue
         try:
             anchors.append(reduced_hamiltonian(spec, p.as_state()))
         except VortexError:
             continue
-
-    if sphere:
-        radius = abs(theta)
-        us = np.linspace(0.0, math.pi, n)
-        vs = np.linspace(0.0, 2.0 * math.pi, n)
-        uu, vv = np.meshgrid(us, vs, indexing="ij")
-        xs = radius * np.sin(uu) * np.cos(vv)
-        ys = radius * np.sin(uu) * np.sin(vv)
-        zs = radius * np.cos(uu)
-
-        def to_space(pu, pv):
-            du = us[0] + pu * (us[1] - us[0])
-            dv = vs[0] + pv * (vs[1] - vs[0])
-            return (
-                radius * math.sin(du) * math.cos(dv),
-                radius * math.sin(du) * math.sin(dv),
-                radius * math.cos(du),
-            )
-    else:
+    window = None
+    if not sphere:
         saddle_x = [
-            p.coords[0]
-            for p in points
-            if p.kind == "equilibrium" and p.label.startswith(("E_tri", "E_-1"))
+            p.coords[0] for p in points if p.label.startswith(("E_tri", "E_-1"))
         ]
         window = max(4.0 * max(1.0, abs(theta)),
                      *(1.3 * abs(x) for x in saddle_x or [0.0]))
-        us = np.linspace(-window, window, n)
-        vs = np.linspace(-window, window, n)
-        uu, vv = np.meshgrid(us, vs, indexing="ij")
-        xs, ys = uu, vv
-        zs = leaf_z(theta, xs, ys)
+    grid = LeafGrid.sample(spec, theta, window)
 
-        def to_space(pu, pv):
-            x = us[0] + pu * (us[1] - us[0])
-            y = vs[0] + pv * (vs[1] - vs[0])
-            return (x, y, leaf_z(theta, x, y))
-
-    h = np.full(xs.shape, math.nan)
-    for i in range(n):
-        for j in range(n):
-            try:
-                h[i, j] = reduced_hamiltonian(
-                    spec,
-                    SimpleNamespace(
-                        X=xs[i, j], Y=ys[i, j], Z=zs[i, j], Theta=theta
-                    ),
-                )
-            except VortexError:
-                pass
-
-    levels = _auto_levels(h, anchors, count) if values is None else sorted(values)
-
+    levels = (
+        _auto_levels(grid.energy, anchors, count) if values is None else sorted(values)
+    )
     rows = []
     for level in levels:
-        segment = 0
-        for i in range(n - 1):
-            for j in range(n - 1):
-                corners = (h[i, j], h[i + 1, j], h[i + 1, j + 1], h[i, j + 1])
-                if not all(map(math.isfinite, corners)):
-                    continue
-                for ea, ta, eb, tb in _cell_segments(corners, level):
-                    for e, t in ((ea, ta), (eb, tb)):
-                        pu, pv = _edge_point(i, j, e, t)
-                        x, y, z = to_space(pu, pv)
-                        rows.append((level, segment, x, y, z))
-                    segment += 1
+        # segment k runs from row 2k to row 2k + 1
+        X, Y, Z = (c.ravel().tolist() for c in grid.level_set(level))
+        rows += [(level, k // 2, x, y, z) for k, (x, y, z) in enumerate(zip(X, Y, Z))]
     return LEVEL_COLUMNS, rows
 
 

@@ -165,35 +165,12 @@ def equilibria_11m1(theta: float) -> list[CriticalPoint]:
     if theta == 0.0:
         return []
     spec = ReducedSystemSpec.for_circulations([1.0, 1.0, -1.0])
-    points: list[CriticalPoint] = []
-    if theta < 0.0:
-        window = "Theta < 0"
-        side = math.sqrt(3.0) * theta
-        points.append(
-            CriticalPoint(
-                (0.0, side, -2.0 * theta), theta, HYPERBOLOID, EQUILIBRIUM,
-                "E_tri+", window,
-            )
-        )
-        points.append(
-            CriticalPoint(
-                (0.0, -side, -2.0 * theta), theta, HYPERBOLOID, EQUILIBRIUM,
-                "E_tri-", window,
-            )
-        )
-        points.append(
-            CriticalPoint(
-                (0.0, 0.0, -theta), theta, HYPERBOLOID, SINGULARITY, "S_11",
-                window, pair=(0, 1),
-            )
-        )
-    else:
-        points.append(
-            CriticalPoint(
-                (0.0, 0.0, theta), theta, HYPERBOLOID, EQUILIBRIUM, "E_-1",
-                "Theta > 0",
-            )
-        )
+    # the (1, Gamma, -1) branches at Gamma = 1, under this family's names
+    points = [
+        replace(p, label="S_11") if p.label == "S_1Gamma"
+        else replace(p, existence="Theta > 0") if p.label == "E_-1" else p
+        for p in _branch_points(1.0, theta)
+    ]
     return _with_eigenvalues(spec, points)
 
 
@@ -249,11 +226,17 @@ def equilibria_gamma(gamma: float, theta: float) -> list[CriticalPoint]:
         raise ValueError("Theta must be finite and nonzero")
 
     spec = ReducedSystemSpec.for_circulations([1.0, gamma, -1.0])
+    return _with_eigenvalues(spec, _branch_points(gamma, theta))
+
+
+def _branch_points(gamma: float, theta: float) -> list[CriticalPoint]:
+    # the existing (1, Gamma, -1) branches on the leaf, without eigenvalues
     branches, fold = _branches(gamma, theta)
     points: list[CriticalPoint] = []
     for label, (x, exists, window) in branches.items():
         if not exists:
             continue
+        x += 0.0  # no signed zero: x_+ is 0.0 / -2 at Gamma = 1
         if label == "E_tri":
             side = math.sqrt(3.0) * gamma * theta
             for y, tag in ((side, "E_tri+"), (-side, "E_tri-")):
@@ -273,7 +256,7 @@ def equilibria_gamma(gamma: float, theta: float) -> list[CriticalPoint]:
                 degenerate=fold and not singular,
             )
         )
-    return _with_eigenvalues(spec, points)
+    return points
 
 
 def separatrix_energy(gamma: float, theta: float) -> float | None:

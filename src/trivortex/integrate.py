@@ -1,10 +1,8 @@
-"""Adaptive Runge-Kutta integration with dense output and event location.
+"""Adaptive Runge-Kutta integration with dense output.
 
 The stepper is the Dormand-Prince 5(4) embedded pair with first-same-as-last
 stage reuse, a proportional-integral step controller, and the quartic
-interpolant that goes with the pair.  Events are scalar functions whose
-sign changes are located on the interpolant, so their times do not depend
-on how densely the trajectory happens to be sampled.
+interpolant that goes with the pair.
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ from .errors import NonFiniteRHS, StepBudgetExceeded, StepSizeUnderflow
 
 FloatArray = NDArray[np.float64]
 RHS = Callable[[float, FloatArray], FloatArray]
-Scalar = Callable[[float, FloatArray], float]
 
 # Dormand-Prince 5(4) tableau.
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0])
@@ -58,37 +55,12 @@ _EXPO = 0.2 - 0.75 * _BETA
 
 
 @dataclass(slots=True)
-class EventSpec:
-    """Scalar event function with a direction filter.
-
-    ``direction`` selects which sign changes count: +1 rising, -1 falling,
-    0 either.  A terminal event stops the integration at its root.
-    """
-
-    func: Scalar
-    id: str
-    direction: int = 0
-    terminal: bool = False
-
-
-@dataclass(slots=True)
-class MonitorSpec:
-    """Scalar quantity whose drift from its initial value is tracked."""
-
-    func: Scalar
-    id: str
-
-
-@dataclass(slots=True)
 class IntegratorOptions:
     rtol: float = 1e-10
     atol: float = 1e-12
     max_step: float = math.inf
     t0: float = 0.0
     t_end: float = 1.0
-    first_step: float | None = None
-    events: Sequence[EventSpec] = ()
-    monitors: Sequence[MonitorSpec] = ()
     max_steps: int = 5_000_000
 
     def __post_init__(self) -> None:
@@ -98,13 +70,6 @@ class IntegratorOptions:
             raise ValueError("time span must be finite")
         if self.max_step <= 0.0:
             raise ValueError("max_step must be positive")
-
-
-@dataclass(slots=True)
-class EventRecord:
-    t: float
-    id: str
-    y: FloatArray
 
 
 @dataclass(slots=True)
@@ -124,35 +89,28 @@ class _Segment:
 
 @dataclass(slots=True)
 class Trajectory:
-    """Sampled solution with event records and a drift report.
+    """Sampled solution with its dense output.
 
-    Samples sit at the accepted steps, times strictly increasing.  ``drift``
-    maps each monitor id to the largest absolute deviation from its value
-    at the initial state.
+    Samples sit at the accepted steps, times strictly increasing.
+    ``segments`` hold the accepted steps in the order they were taken, so
+    on a backward run they run against ``ts``.
     """
 
     ts: FloatArray
     ys: FloatArray
-    events: list[EventRecord]
-    drift: dict[str, float]
     segments: list[_Segment] = field(repr=False, default_factory=list)
 
     def interpolate(self, t: float) -> FloatArray:
         """Dense-output evaluation at any time inside the integrated span."""
         if not self.segments:
             raise ValueError("trajectory carries no dense segments")
-        lo = self.segments[0].t0
-        hi = self.segments[-1].t0 + self.segments[-1].h
-        a, b = (lo, hi) if lo <= hi else (hi, lo)
+        a, b = self.ts[0], self.ts[-1]
         if not (a - 1e-12 <= t <= b + 1e-12):
             raise ValueError(f"t={t} outside integrated span [{a}, {b}]")
-        starts = [s.t0 for s in self.segments]
-        if len(starts) > 1 and starts[1] < starts[0]:
-            # backward run: segment starts decrease
-            idx = len(starts) - bisect_right(list(reversed(starts)), t)
-            idx = min(max(idx, 0), len(starts) - 1)
-        else:
-            idx = min(max(bisect_right(starts, t) - 1, 0), len(starts) - 1)
+        n = len(self.segments)
+        idx = min(max(bisect_right(self.ts, t) - 1, 0), n - 1)
+        if self.segments[0].h < 0.0:
+            idx = n - 1 - idx  # backward run: the last segment starts at ts[0]
         return self.segments[idx].eval(t)
 
 
@@ -173,23 +131,6 @@ def _initial_step(
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
     return min(100 * h0, h1, span, max_step)
-
-
-def _refine_root(seg: _Segment, g: Scalar, ta: float, tb: float, ga: float) -> float:
-    """Bisect a sign change of g on the interpolant down to time tol 1e-12."""
-    tol = 1e-13 + 4.0 * abs(tb) * np.finfo(float).eps
-    while abs(tb - ta) > tol:
-        tm = 0.5 * (ta + tb)
-        if tm == ta or tm == tb:
-            break
-        gm = g(tm, seg.eval(tm))
-        if gm == 0.0:
-            return tm
-        if (ga < 0.0) == (gm < 0.0):
-            ta, ga = tm, gm
-        else:
-            tb = tm
-    return 0.5 * (ta + tb)
 
 
 def integrate(f: RHS, y0: FloatArray | Sequence[float], opts: IntegratorOptions) -> Trajectory:
@@ -213,18 +154,11 @@ def integrate(f: RHS, y0: FloatArray | Sequence[float], opts: IntegratorOptions)
     ts = [t]
     ys = [y.copy()]
     segments: list[_Segment] = []
-    events: list[EventRecord] = []
-    g_prev = [e.func(t, y) for e in opts.events]
-    q0 = [m.func(t, y) for m in opts.monitors]
-    drift = {m.id: 0.0 for m in opts.monitors}
 
     if span == 0.0:
-        return Trajectory(np.array(ts), np.array(ys), events, drift, segments)
+        return Trajectory(np.array(ts), np.array(ys), segments)
 
-    h = opts.first_step if opts.first_step is not None else _initial_step(
-        f, t, y, f0, s, opts.rtol, opts.atol, span, opts.max_step
-    )
-    h = min(h, span, opts.max_step)
+    h = _initial_step(f, t, y, f0, s, opts.rtol, opts.atol, span, opts.max_step)
     err_prev = 1e-4
     k = np.empty((7, y.size))
     k[0] = f0
@@ -260,46 +194,11 @@ def integrate(f: RHS, y0: FloatArray | Sequence[float], opts: IntegratorOptions)
             h *= max(0.2, _SAFETY * err**-0.2)
             continue
 
-        seg = _Segment(t0=t, h=s * h, y0=y.copy(), coef=k.T @ _P)
-        segments.append(seg)
-
-        stop_at: float | None = None
-        for idx, spec in enumerate(opts.events):
-            g_new = spec.func(t_new, y_new)
-            g_old = g_prev[idx]
-            crossed = (g_old < 0.0 <= g_new) or (g_old > 0.0 >= g_new)
-            if crossed:
-                rising = g_old < g_new
-                wanted = (
-                    spec.direction == 0
-                    or (spec.direction > 0 and rising)
-                    or (spec.direction < 0 and not rising)
-                )
-                if wanted:
-                    t_star = _refine_root(seg, spec.func, t, t_new, g_old)
-                    rec = EventRecord(t=t_star, id=spec.id, y=seg.eval(t_star))
-                    events.append(rec)
-                    if spec.terminal and (stop_at is None or s * t_star < s * stop_at):
-                        stop_at = t_star
-            g_prev[idx] = g_new
-
-        if stop_at is not None:
-            t_new = stop_at
-            y_new = seg.eval(stop_at)
-            seg.h = stop_at - seg.t0
-            last = True
-            # drop any event records the truncation skipped past
-            events = [r for r in events if s * r.t <= s * t_new + 1e-12]
-
-        for mi, m in enumerate(opts.monitors):
-            dq = abs(m.func(t_new, y_new) - q0[mi])
-            if dq > drift[m.id]:
-                drift[m.id] = dq
-
+        segments.append(_Segment(t0=t, h=s * h, y0=y.copy(), coef=k.T @ _P))
         t, y = t_new, y_new
         ts.append(t)
         ys.append(y.copy())
-        k[0] = k[6] if stop_at is None else np.asarray(f(t, y), dtype=np.float64)
+        k[0] = k[6]
 
         if last:
             finished = True
@@ -313,10 +212,5 @@ def integrate(f: RHS, y0: FloatArray | Sequence[float], opts: IntegratorOptions)
     if s < 0.0:
         ts_arr = ts_arr[::-1].copy()
         ys_arr = ys_arr[::-1].copy()
-        events.sort(key=lambda r: r.t)
-    return Trajectory(ts_arr, ys_arr, events, drift, segments)
+    return Trajectory(ts_arr, ys_arr, segments)
 
-
-def find_event(traj: Trajectory, event_id: str) -> list[EventRecord]:
-    """All recorded roots of one event function, in time order."""
-    return sorted((r for r in traj.events if r.id == event_id), key=lambda r: r.t)

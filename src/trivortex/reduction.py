@@ -399,10 +399,19 @@ def _term_args(
     return args
 
 
+def reduced_energy(spec: ReducedSystemSpec, X, Z, Theta):
+    """Energy in the selector's normalization, elementwise and unchecked:
+    non-finite wherever a log argument is <= 0."""
+    h = 0.0
+    for t in spec.terms:
+        h = h + t.c * np.log(t.arg(X, Z, Theta))
+    return h
+
+
 def reduced_hamiltonian(spec: ReducedSystemSpec, s: NambuState) -> float:
     """Energy of a shape point in the selector's normalization."""
-    args = _term_args(spec, s.X, s.Z, s.Theta)
-    return sum(t.c * math.log(A) for t, A in zip(spec.terms, args))
+    _term_args(spec, s.X, s.Z, s.Theta)  # raises SingularState
+    return float(reduced_energy(spec, s.X, s.Z, s.Theta))
 
 
 def reduced_gradients(
@@ -556,3 +565,108 @@ def integrate_reduced(
     """Integrate the shape-point dynamics on the leaf of ``s0``."""
     f = reduced_rhs_flat(spec, s0.Theta)
     return integrate(f, np.array([s0.X, s0.Y, s0.Z]), opts)
+
+
+# nodes per side of the grid a leaf's level sets are traced on
+LEVEL_GRID_NODES = 201
+
+# marching squares.  A cell's corners 0..3 are (i, j), (i+1, j), (i+1, j+1)
+# and (i, j+1); its edges 0..3 (bottom, right, top, left) run from corner
+# _EDGE_CORNERS[e][0] to _EDGE_CORNERS[e][1].
+_CORNER_OFFSETS = np.array([(0, 0), (1, 0), (1, 1), (0, 1)])
+_EDGE_CORNERS = np.array([(0, 1), (1, 2), (3, 2), (0, 3)])
+_CORNER_BITS = np.array([1, 2, 4, 8])
+# edge pairs, one per segment, by the bits of the corners above the level;
+# the two saddle cases 5 and 10 pair their edges by the centre value
+_BELOW_CENTRE = (
+    (), ((3, 0),), ((0, 1),), ((3, 1),), ((1, 2),), ((3, 0), (1, 2)),
+    ((0, 2),), ((3, 2),), ((2, 3),), ((0, 2),), ((3, 2), (0, 1)),
+    ((1, 2),), ((3, 1),), ((0, 1),), ((3, 0),), (),
+)
+_ABOVE_CENTRE = tuple(_BELOW_CENTRE[{5: 10, 10: 5}.get(k, k)] for k in range(16))
+# (case, segment, end) -> edge, -1 past a case's last segment; the case
+# index is the corner bits plus 16 when the centre lies above the level
+_CASE_EDGES = np.array([
+    [list(pair) for pair in pairs] + [[-1, -1]] * (2 - len(pairs))
+    for pairs in _BELOW_CENTRE + _ABOVE_CENTRE
+])
+
+
+def contour_cells(h: FloatArray, level: float) -> tuple[FloatArray, FloatArray]:
+    """Marching squares on a node grid ``h``: where it crosses ``level``.
+
+    Returns the segment ends (pu, pv), each of shape (segments, 2), in
+    fractional node indices along the two grid axes.  Segments come cell
+    by cell, row-major; cells with a non-finite corner give none.  An end
+    lies on a cell edge at t = (level - fa) / (fb - fa) of the way from its
+    first corner a to its second corner b.
+    """
+    corners = np.stack([h[:-1, :-1], h[1:, :-1], h[1:, 1:], h[:-1, 1:]], axis=-1)
+    i, j = np.nonzero(np.isfinite(corners).all(axis=-1))
+    f = corners[i, j]
+    centre = 0.25 * (((f[:, 0] + f[:, 1]) + f[:, 2]) + f[:, 3])
+    case = ((f > level) * _CORNER_BITS).sum(axis=1) + 16 * (centre > level)
+    edges = _CASE_EDGES[case]
+    used = edges[:, :, 0] >= 0
+    cell = np.nonzero(used)[0]
+    edges = edges[used]  # (segments, 2)
+    a, b = _EDGE_CORNERS[edges, 0], _EDGE_CORNERS[edges, 1]
+    fa = np.take_along_axis(f[cell], a, axis=1)
+    fb = np.take_along_axis(f[cell], b, axis=1)
+    t = (level - fa) / (fb - fa)
+    start, step = _CORNER_OFFSETS[a], _CORNER_OFFSETS[b] - _CORNER_OFFSETS[a]
+    pu = (i[cell, None] + start[..., 0]) + t * step[..., 0]
+    pv = (j[cell, None] + start[..., 1]) + t * step[..., 1]
+    return pu, pv
+
+
+def _leaf_point(geometry: str, theta: float, u, v) -> tuple:
+    # the leaf's grid parametrisation: polar angles (u, v) on the sphere of
+    # radius |theta|, (X, Y) = (u, v) on the hyperboloid sheet
+    if geometry == SPHERE:
+        r = abs(theta)
+        return r * np.sin(u) * np.cos(v), r * np.sin(u) * np.sin(v), r * np.cos(u)
+    return u, v, leaf_z(theta, u, v)
+
+
+@dataclass(frozen=True, eq=False)
+class LeafGrid:
+    """Reduced energy on a ``LEVEL_GRID_NODES`` square grid over one leaf.
+
+    The grid axes ``us`` and ``vs`` are the polar angles [0, pi] and
+    [0, 2 pi] on the sphere and X, Y in [-window, window] on the
+    hyperboloid sheet.  ``energy`` is non-finite at nodes where a log
+    argument is <= 0.
+    """
+
+    geometry: str
+    theta: float
+    us: FloatArray
+    vs: FloatArray
+    energy: FloatArray
+
+    @classmethod
+    def sample(
+        cls, spec: ReducedSystemSpec, theta: float, window: float | None = None
+    ) -> "LeafGrid":
+        """Sample the leaf ``theta``; ``window`` is the hyperboloid's
+        half-width and is not used on the sphere."""
+        n = LEVEL_GRID_NODES
+        if spec.geometry == SPHERE:
+            us, vs = np.linspace(0.0, math.pi, n), np.linspace(0.0, 2.0 * math.pi, n)
+        else:
+            us = vs = np.linspace(-window, window, n)
+        X, _, Z = _leaf_point(spec.geometry, theta, *np.meshgrid(us, vs, indexing="ij"))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            energy = reduced_energy(spec, X, Z, theta)
+        return cls(spec.geometry, theta, us, vs, energy)
+
+    def level_set(self, level: float) -> tuple[FloatArray, FloatArray, FloatArray]:
+        """(X, Y, Z) of the segment ends where the energy crosses ``level``,
+        each of shape (segments, 2), in the order of ``contour_cells``."""
+        pu, pv = contour_cells(self.energy, level)
+        us, vs = self.us, self.vs
+        return _leaf_point(
+            self.geometry, self.theta,
+            us[0] + pu * (us[1] - us[0]), vs[0] + pv * (vs[1] - vs[0]),
+        )

@@ -123,6 +123,32 @@ def test_dipole_family_catalog():
     assert equilibria_11m1(0.0) == []
 
 
+@pytest.mark.parametrize("theta", [-2.5, -1.0, -0.3, 0.7, 1.0, 4.0])
+def test_dipole_family_meets_its_closed_forms(theta):
+    # (X, Y, Z), window and real eigenvalue pair +-lam of each Gamma = 1
+    # point; every saddle has lam = sqrt(3) / |Theta|
+    side, lam = math.sqrt(3.0) * theta, math.sqrt(3.0) / abs(theta)
+    if theta < 0.0:
+        want = {
+            "E_tri+": ((0.0, side, -2.0 * theta), "Theta < 0", lam),
+            "E_tri-": ((0.0, -side, -2.0 * theta), "Theta < 0", lam),
+            "S_11": ((0.0, 0.0, -theta), "Theta < 0", None),
+        }
+    else:
+        want = {"E_-1": ((0.0, 0.0, theta), "Theta > 0", lam)}
+    got = equilibria_11m1(theta)
+    assert [p.label for p in got] == list(want)
+    for p in got:
+        coords, window, real = want[p.label]
+        assert p.existence == window
+        for c, w in zip(p.coords, coords):
+            assert math.copysign(1.0, c) == math.copysign(1.0, w)  # no -0
+            assert abs(c - w) <= 1e-15 * abs(w)
+        if real is not None:
+            assert p.eigenvalues[1].imag == 0.0
+            assert abs(abs(p.eigenvalues[1].real) - real) <= 1e-15 * real
+
+
 def test_asymmetric_family_windows():
     assert {p.label for p in equilibria_gamma(0.9, 1.0)} == {"E_-1", "E_Gamma"}
     assert {p.label for p in equilibria_gamma(0.9, -1.0)} == {

@@ -1,7 +1,9 @@
 """CLI tables against small goldens, one per subcommand, compared by tolerance.
 
 Each golden in ``tests/data`` is the CSV the argv below wrote before the
-refactor that gave every physical formula a single implementation.  Text
+refactor that gave every physical formula a single implementation; the
+levels golden was written before the level-set grid and its marching
+squares moved from the CLI into ``trivortex.reduction``.  Text
 cells must match exactly and numeric cells to a relative 1e-9, which
 leaves integer cells no room either.  Cells at rounding level, such as the
 reduced table's casimir_residual, therefore only match while the
@@ -25,6 +27,7 @@ CASES = {
                  "1,0.7,-0.6", "--t-end", "5", "--samples", "11"],
     "reduced": ["reduced", "--rho", "0.5", "--L", "12", "--t-end", "30",
                 "--samples", "16"],
+    "levels": ["reduced", "--levels", "2", "--gamma", "0.4", "--theta", "1.3"],
     "sweep": ["sweep", "--rho", "-1.5,0.5,2.5"],
     "critical": ["critical", "--gammas", "0.4,0.9,1.0,1.7"],
     "equilibria": ["equilibria", "--gamma", "1.3", "--theta", "-1"],

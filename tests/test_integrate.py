@@ -1,4 +1,4 @@
-"""Stepper accuracy, dense events, monitors, and failure modes."""
+"""Stepper accuracy, dense output, invariant drift, and failure modes."""
 
 from __future__ import annotations
 
@@ -7,16 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from trivortex.core import flat_rhs
+from trivortex.core import conserved, flat_rhs
 from trivortex.errors import StepBudgetExceeded, StepSizeUnderflow
-from trivortex.integrate import (
-    EventSpec,
-    IntegratorOptions,
-    MonitorSpec,
-    Trajectory,
-    find_event,
-    integrate,
-)
+from trivortex.integrate import IntegratorOptions, Trajectory, integrate
 
 
 def _oscillator(t, y):
@@ -61,60 +54,14 @@ def test_collapse_free_zero_theta_solution():
         assert np.allclose(y[[1, 3, 5]], [-1.0, -1.0, -2.0], atol=1e-6)
 
 
-def test_simple_time_event():
-    ev = EventSpec(func=lambda t, y: t - 1.0, id="tick")
-    traj = integrate(
-        lambda t, y: np.array([1.0]), [0.0], IntegratorOptions(t_end=2.0, events=[ev])
-    )
-    recs = find_event(traj, "tick")
-    assert len(recs) == 1
-    assert recs[0].t == pytest.approx(1.0, abs=1e-12)
-
-
-def test_event_times_do_not_depend_on_step_density():
-    ev = EventSpec(func=lambda t, y: y[0], id="node")
-    times = []
-    for max_step in (math.inf, 0.3, 0.05):
-        opts = IntegratorOptions(t_end=9.0, max_step=max_step, events=[ev])
-        traj = integrate(_oscillator, [1.0, 0.0], opts)
-        times.append([r.t for r in find_event(traj, "node")])
-    assert len(times[0]) == 3  # pi/2, 3pi/2, 5pi/2
-    for alt in times[1:]:
-        assert len(alt) == len(times[0])
-        assert np.allclose(alt, times[0], atol=1e-10)
-    assert np.allclose(times[0], [math.pi / 2, 3 * math.pi / 2, 5 * math.pi / 2], atol=1e-9)
-
-
-def test_direction_filter_and_terminal_stop():
-    rising = EventSpec(func=lambda t, y: y[0], id="up", direction=1)
-    falling = EventSpec(
-        func=lambda t, y: y[0], id="down", direction=-1, terminal=True
-    )
-    opts = IntegratorOptions(t_end=20.0, events=[rising, falling])
-    traj = integrate(_oscillator, [1.0, 0.0], opts)
-    downs = find_event(traj, "down")
-    ups = find_event(traj, "up")
-    # first zero of cos is a falling crossing; integration stops there
-    assert len(downs) == 1 and len(ups) == 0
-    assert downs[0].t == pytest.approx(math.pi / 2, abs=1e-10)
-    assert traj.ts[-1] == pytest.approx(math.pi / 2, abs=1e-10)
-
-
 def test_monitor_reports_energy_drift():
-    f = flat_rhs([1.0, 1.0, 1.0])
+    # largest energy deviation over the accepted steps
+    g = [1.0, 1.0, 1.0]
     ang = 2.0 * np.pi * np.arange(3) / 3.0
     y0 = np.stack([np.cos(ang), np.sin(ang)], axis=1).ravel()
-
-    def energy(t, y):
-        x = y.reshape(3, 2)
-        d = x[:, None, :] - x[None, :, :]
-        r2 = (d**2).sum(-1)
-        iu, ju = np.triu_indices(3, k=1)
-        return float(-0.5 * np.sum(np.log(r2[iu, ju])))
-
-    opts = IntegratorOptions(t_end=50.0, monitors=[MonitorSpec(func=energy, id="H")])
-    traj = integrate(f, y0, opts)
-    assert traj.drift["H"] <= 1e-9
+    traj = integrate(flat_rhs(g), y0, IntegratorOptions(t_end=50.0))
+    H = conserved(traj.ys.reshape(-1, 3, 2), g).H
+    assert np.max(np.abs(H - H[0])) <= 1e-9
 
 
 def test_negative_span_runs_and_orders_samples():
@@ -125,6 +72,16 @@ def test_negative_span_runs_and_orders_samples():
     # cos(-pi/2), -sin(-pi/2)
     assert np.allclose(traj.ys[0], [0.0, 1.0], atol=1e-9)
     assert np.allclose(traj.interpolate(-1.0), [math.cos(1.0), math.sin(1.0)], atol=1e-9)
+
+
+@pytest.mark.parametrize("t_end", [6.0, -6.0])
+def test_dense_output_is_as_accurate_backward_as_forward(t_end):
+    # a loose tolerance leaves few, long steps, so evaluating a sample on
+    # the neighbouring step's interpolant shows at once
+    traj = integrate(_oscillator, [1.0, 0.0], IntegratorOptions(t_end=t_end, rtol=1e-6))
+    ts = np.linspace(0.0, t_end, 601)
+    err = max(abs(traj.interpolate(float(t))[0] - math.cos(t)) for t in ts)
+    assert err < 2e-6
 
 
 def test_blowup_triggers_step_underflow():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from trivortex.reduction import (
     NambuState,
     ReducedSystemSpec,
     alpha_rate,
+    contour_cells,
     frame_from_vectors,
     from_jacobi,
     heading_rate,
@@ -31,6 +33,7 @@ from trivortex.reduction import (
     nambu_rhs,
     nambu_to_frame,
     reduce_state,
+    reduced_energy,
     reduced_gradients,
     reduced_hamiltonian,
     shape_map,
@@ -427,3 +430,129 @@ def test_stacked_heading_rate_equals_each_point(points, theta):
         else:
             with pytest.raises(DegenerateDenominator):
                 alpha_rate(s)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(_coord, _coord), min_size=1, max_size=8),
+    st.floats(-20.0, 20.0, allow_nan=False),
+    st.sampled_from(
+        ([1.0, 1.0, 1.0], [1.0, 1.0, -1.0], [1.0, 0.4, -1.0], [2.0, -1.0, 0.5])
+    ),
+)
+def test_stacked_reduced_energy_equals_each_point(points, theta, g):
+    spec = ReducedSystemSpec.for_circulations(g)
+    X, Z = np.array(points).T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = reduced_energy(spec, X, Z, theta)
+        each = [reduced_energy(spec, x, z, theta) for x, z in points]
+    assert np.array(each).tobytes() == h.tobytes()
+    for hi, (x, z) in zip(h, points):
+        # the point call reads X, Z and Theta only; skip the leaf check
+        s = SimpleNamespace(X=x, Z=z, Theta=theta)
+        if math.isfinite(hi):
+            assert reduced_hamiltonian(spec, s) == hi
+        else:
+            with pytest.raises(SingularState):
+                reduced_hamiltonian(spec, s)
+
+
+# The per-cell marching squares that ``contour_cells`` replaced, kept as its
+# reference.  Corner bits (f00, f10, f11, f01) -> edge pairs; edges 0..3
+# are bottom, right, top, left.
+_EDGE_ENDS = {0: ((0, 0), (1, 0)), 1: ((1, 0), (1, 1)),
+              2: ((0, 1), (1, 1)), 3: ((0, 0), (0, 1))}
+_CASES = {
+    1: [(3, 0)], 2: [(0, 1)], 3: [(3, 1)], 4: [(1, 2)],
+    6: [(0, 2)], 7: [(3, 2)], 8: [(2, 3)], 9: [(0, 2)],
+    11: [(1, 2)], 12: [(3, 1)], 13: [(0, 1)], 14: [(3, 0)],
+}
+
+
+def _cell_segments(f, level):
+    # f = (f00, f10, f11, f01); returns [(edge_a, t_a, edge_b, t_b), ...]
+    bits = (
+        (f[0] > level)
+        | ((f[1] > level) << 1)
+        | ((f[2] > level) << 2)
+        | ((f[3] > level) << 3)
+    )
+    if bits in (0, 15):
+        return []
+    if bits == 5:
+        center = 0.25 * sum(f)
+        pairs = [(3, 2), (0, 1)] if center > level else [(3, 0), (1, 2)]
+    elif bits == 10:
+        center = 0.25 * sum(f)
+        pairs = [(3, 0), (1, 2)] if center > level else [(3, 2), (0, 1)]
+    else:
+        pairs = _CASES[bits]
+    corner_vals = {(0, 0): f[0], (1, 0): f[1], (1, 1): f[2], (0, 1): f[3]}
+    out = []
+    for ea, eb in pairs:
+        seg = []
+        for e in (ea, eb):
+            (ca, cb) = _EDGE_ENDS[e]
+            fa, fb = corner_vals[ca], corner_vals[cb]
+            seg.append((e, (level - fa) / (fb - fa)))
+        out.append((seg[0][0], seg[0][1], seg[1][0], seg[1][1]))
+    return out
+
+
+def _edge_point(i, j, edge, t):
+    (ax, ay), (bx, by) = _EDGE_ENDS[edge]
+    return i + ax + t * (bx - ax), j + ay + t * (by - ay)
+
+
+def _reference_contour(h, level):
+    pu, pv = [], []
+    for i in range(h.shape[0] - 1):
+        for j in range(h.shape[1] - 1):
+            corners = (h[i, j], h[i + 1, j], h[i + 1, j + 1], h[i, j + 1])
+            if not all(map(math.isfinite, corners)):
+                continue
+            for ea, ta, eb, tb in _cell_segments(corners, level):
+                ends = [_edge_point(i, j, e, t) for e, t in ((ea, ta), (eb, tb))]
+                pu.append([ends[0][0], ends[1][0]])
+                pv.append([ends[0][1], ends[1][1]])
+    return np.array(pu).reshape(-1, 2), np.array(pv).reshape(-1, 2)
+
+
+def _saddle_orientations(h, level):
+    # (cells of case 5 or 10 with the centre above, and at or below, level)
+    f = np.stack([h[:-1, :-1], h[1:, :-1], h[1:, 1:], h[:-1, 1:]], axis=-1)
+    f = f[np.isfinite(f).all(axis=-1)]
+    above = f > level
+    saddle = (above[:, 0] == above[:, 2]) & (above[:, 1] == above[:, 3]) & (
+        above[:, 0] != above[:, 1]
+    )
+    centre = 0.25 * f.sum(axis=1)
+    return int(np.sum(saddle & (centre > level))), int(np.sum(saddle & (centre <= level)))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_contour_cells_match_the_per_cell_reference(seed):
+    rng = np.random.default_rng(seed)
+    n, m = rng.integers(8, 24, size=2)
+    # a checkerboard under noise makes saddle cells of both orientations
+    ii, jj = np.indices((n, m))
+    h = (-1.0) ** (ii + jj) + rng.normal(scale=0.8, size=(n, m))
+    holes = rng.random((n, m)) < 0.08
+    h[holes] = rng.choice([math.nan, math.inf, -math.inf], size=holes.sum())
+    finite = h[np.isfinite(h)]
+    levels = [*rng.choice(finite, size=4), *rng.uniform(-1.5, 1.5, size=3)]
+    seen = np.zeros(2, dtype=int)
+    for level in map(float, levels):
+        pu, pv = contour_cells(h, level)
+        ref_u, ref_v = _reference_contour(h, level)
+        assert pu.tobytes() == ref_u.tobytes()
+        assert pv.tobytes() == ref_v.tobytes()
+        seen += _saddle_orientations(h, level)
+    assert seen.min() > 0
+
+
+def test_contour_cells_of_a_grid_without_finite_cells():
+    h = np.full((4, 5), math.nan)
+    h[0, 0] = 1.0
+    pu, pv = contour_cells(h, 0.5)
+    assert pu.shape == pv.shape == (0, 2)
