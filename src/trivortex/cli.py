@@ -38,7 +38,7 @@ from .reduction import (
     reduced_hamiltonian,
     reduced_rhs_flat,
 )
-from .scattering import ScatteringSetup, initial_state, sweep
+from .scattering import DEFAULT_TIME_BUDGET, ScatteringSetup, initial_state, sweep
 
 USAGE_ERROR = 1
 NUMERICAL_ERROR = 2
@@ -212,7 +212,7 @@ def cmd_simulate(ns) -> tuple[tuple, list]:
         positions.reshape(6),
         IntegratorOptions(rtol=ns.rtol, atol=ns.atol, t_end=ns.t_end),
     )
-    ys = np.array([traj.interpolate(float(t)) for t in ts])
+    ys = traj.interpolate(ts)
     c = conserved(ys.reshape(-1, 3, 2), g)
     rows = [
         (float(t), *y, *inv)
@@ -243,18 +243,14 @@ def cmd_reduced(ns) -> tuple[tuple, list]:
         f, y0, IntegratorOptions(rtol=ns.rtol, atol=ns.atol, t_end=ns.t_end)
     )
     columns = REDUCED_COLUMNS + (("alpha",) if with_alpha else ())
+    vs = traj.interpolate(ts)
+    res, scale = leaf_residual(s0.geometry, vs[:, 0], vs[:, 1], vs[:, 2], theta)
     rows = []
-    for t in ts:
-        v = traj.interpolate(float(t))
-        x, y, z = float(v[0]), float(v[1]), float(v[2])
+    for t, v, r in zip(ts, vs.tolist(), np.abs(res) / scale):
         h = reduced_hamiltonian(
-            spec, SimpleNamespace(X=x, Y=y, Z=z, Theta=theta)
+            spec, SimpleNamespace(X=v[0], Y=v[1], Z=v[2], Theta=theta)
         )
-        res, scale = leaf_residual(s0.geometry, x, y, z, theta)
-        row = (float(t), x, y, z, h, abs(res) / scale)
-        if with_alpha:
-            row = row + (float(v[3]),)
-        rows.append(row)
+        rows.append((float(t), *v[:3], h, float(r), *v[3:]))
     return columns, rows
 
 
@@ -359,7 +355,9 @@ def cmd_sweep(ns) -> tuple[tuple, list]:
         raise ValueError("--gamma must be positive")
     if ns.jobs < 1:
         raise ValueError("--jobs must be at least 1")
-    t_max = ns.t_end if ns.t_end is not None else 1.0e5
+    t_max = ns.t_end if ns.t_end is not None else DEFAULT_TIME_BUDGET
+    if not (t_max > 0.0 and math.isfinite(t_max)):
+        raise ValueError("--t-end must be positive and finite")
     return sweep(
         rhos,
         ns.gamma,

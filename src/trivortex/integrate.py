@@ -8,7 +8,6 @@ interpolant that goes with the pair.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -64,27 +63,37 @@ class IntegratorOptions:
     max_steps: int = 5_000_000
 
     def __post_init__(self) -> None:
-        if not (self.rtol > 0.0 and self.atol > 0.0):
-            raise ValueError("rtol and atol must be positive")
+        if not (0.0 < self.rtol < math.inf and 0.0 < self.atol < math.inf):
+            raise ValueError("rtol and atol must be positive and finite")
         if not (math.isfinite(self.t0) and math.isfinite(self.t_end)):
             raise ValueError("time span must be finite")
-        if self.max_step <= 0.0:
+        if not self.max_step > 0.0:
             raise ValueError("max_step must be positive")
+        if not self.max_steps >= 1:
+            raise ValueError("max_steps must be at least 1")
 
 
 @dataclass(slots=True)
-class _Segment:
-    """One accepted step with its interpolant."""
+class Segment:
+    """Accepted steps with their quartic interpolants: one step, or m steps
+    stacked along a leading axis (``t0`` and the signed step ``h`` (m,),
+    ``y0`` (m, k), ``coef`` = K^T P (m, k, 4))."""
 
-    t0: float
-    h: float
+    t0: float | FloatArray
+    h: float | FloatArray
     y0: FloatArray
-    coef: FloatArray  # (k, 4) = K^T P
+    coef: FloatArray
 
-    def eval(self, t: float) -> FloatArray:
-        u = (t - self.t0) / self.h
-        powers = np.array([u, u * u, u**3, u**4])
-        return self.y0 + self.h * (self.coef @ powers)
+    def eval(self, t) -> FloatArray:
+        """The interpolant at a time, (k,), or an array of times, (n, k);
+        stacked steps take one time each.  The fixed-order elementwise sum
+        gives a time the same bits alone or in an array."""
+        u = np.asarray((t - self.t0) / self.h)[..., None]
+        u2 = u * u
+        c = self.coef
+        return self.y0 + np.asarray(self.h)[..., None] * (
+            c[..., 0] * u + c[..., 1] * u2 + c[..., 2] * (u2 * u) + c[..., 3] * (u2 * u2)
+        )
 
 
 @dataclass(slots=True)
@@ -92,26 +101,30 @@ class Trajectory:
     """Sampled solution with its dense output.
 
     Samples sit at the accepted steps, times strictly increasing.
-    ``segments`` hold the accepted steps in the order they were taken, so
+    ``steps`` stacks the accepted steps in the order they were taken, so
     on a backward run they run against ``ts``.
     """
 
     ts: FloatArray
     ys: FloatArray
-    segments: list[_Segment] = field(repr=False, default_factory=list)
+    steps: Segment | None = field(repr=False, default=None)
 
-    def interpolate(self, t: float) -> FloatArray:
-        """Dense-output evaluation at any time inside the integrated span."""
-        if not self.segments:
-            raise ValueError("trajectory carries no dense segments")
+    def interpolate(self, t) -> FloatArray:
+        """Dense output at a time, (k,), or an array of times, (n, k),
+        inside the integrated span."""
+        s = self.steps
+        if s is None:
+            raise ValueError("trajectory carries no dense output")
+        t = np.asarray(t, dtype=np.float64)
         a, b = self.ts[0], self.ts[-1]
-        if not (a - 1e-12 <= t <= b + 1e-12):
-            raise ValueError(f"t={t} outside integrated span [{a}, {b}]")
-        n = len(self.segments)
-        idx = min(max(bisect_right(self.ts, t) - 1, 0), n - 1)
-        if self.segments[0].h < 0.0:
-            idx = n - 1 - idx  # backward run: the last segment starts at ts[0]
-        return self.segments[idx].eval(t)
+        inside = (a - 1e-12 <= t) & (t <= b + 1e-12)
+        if not inside.all():
+            raise ValueError(f"t={t[~inside][0]} outside integrated span [{a}, {b}]")
+        # inner step boundaries only, so times at either end get an end step
+        idx = np.searchsorted(self.ts[1:-1], t, side="right")
+        if s.h[0] < 0.0:
+            idx = len(s.h) - 1 - idx  # backward run: the last step starts at ts[0]
+        return Segment(s.t0[idx], s.h[idx], s.y0[idx], s.coef[idx]).eval(t)
 
 
 def _initial_step(
@@ -133,13 +146,22 @@ def _initial_step(
     return min(100 * h0, h1, span, max_step)
 
 
-def integrate(f: RHS, y0: FloatArray | Sequence[float], opts: IntegratorOptions) -> Trajectory:
+def integrate(
+    f: RHS,
+    y0: FloatArray | Sequence[float],
+    opts: IntegratorOptions,
+    on_step: Callable[[Segment, float], bool] | None = None,
+) -> Trajectory:
     """Integrate y' = f(t, y) from opts.t0 to opts.t_end.
 
     Negative spans are allowed; samples are returned in increasing time
     either way.  Raises StepSizeUnderflow when the controller pushes the
     step below 1e-14, StepBudgetExceeded after ``max_steps`` step attempts,
     and NonFiniteRHS when the vector field stops being finite.
+
+    ``on_step(step, t)`` receives each accepted step and the time it
+    reached, and ends the run by returning True.  The run then keeps only
+    its first and last state, and no dense output.
     """
     y = np.array(y0, dtype=np.float64).ravel()
     t = float(opts.t0)
@@ -151,21 +173,18 @@ def integrate(f: RHS, y0: FloatArray | Sequence[float], opts: IntegratorOptions)
     if not np.isfinite(f0).all():
         raise NonFiniteRHS(t)
 
-    ts = [t]
-    ys = [y.copy()]
-    segments: list[_Segment] = []
+    ts, ys, hs, coefs = [t], [y], [], []
 
     if span == 0.0:
-        return Trajectory(np.array(ts), np.array(ys), segments)
+        return Trajectory(np.array(ts), np.array(ys))
 
     h = _initial_step(f, t, y, f0, s, opts.rtol, opts.atol, span, opts.max_step)
     err_prev = 1e-4
     k = np.empty((7, y.size))
     k[0] = f0
     nsteps = 0
-    finished = False
 
-    while not finished:
+    while True:
         nsteps += 1
         if nsteps > opts.max_steps:
             raise StepBudgetExceeded(t, opts.max_steps)
@@ -194,23 +213,33 @@ def integrate(f: RHS, y0: FloatArray | Sequence[float], opts: IntegratorOptions)
             h *= max(0.2, _SAFETY * err**-0.2)
             continue
 
-        segments.append(_Segment(t0=t, h=s * h, y0=y.copy(), coef=k.T @ _P))
+        step = Segment(t0=t, h=s * h, y0=y, coef=k.T @ _P)
         t, y = t_new, y_new
-        ts.append(t)
-        ys.append(y.copy())
         k[0] = k[6]
+        if on_step is not None:
+            if on_step(step, t):
+                break
+        else:
+            ts.append(t)
+            ys.append(y)
+            hs.append(step.h)
+            coefs.append(step.coef)
 
         if last:
-            finished = True
-        else:
-            factor = _SAFETY * err**-_EXPO * err_prev**_BETA if err > 0.0 else 10.0
-            h = min(h * min(10.0, max(0.2, factor)), opts.max_step)
-            err_prev = max(err, 1e-10)
+            break
+        factor = _SAFETY * err**-_EXPO * err_prev**_BETA if err > 0.0 else 10.0
+        h = min(h * min(10.0, max(0.2, factor)), opts.max_step)
+        err_prev = max(err, 1e-10)
 
+    if on_step is not None:
+        ts.append(t)
+        ys.append(y)
     ts_arr = np.array(ts)
     ys_arr = np.array(ys)
+    steps = None
+    if hs:
+        steps = Segment(ts_arr[:-1], np.array(hs), ys_arr[:-1], np.array(coefs))
     if s < 0.0:
         ts_arr = ts_arr[::-1].copy()
         ys_arr = ys_arr[::-1].copy()
-    return Trajectory(ts_arr, ys_arr, segments)
-
+    return Trajectory(ts_arr, ys_arr, steps)

@@ -1,10 +1,10 @@
 """Dipole against a lone vortex: launch states, outcomes, angle sweeps.
 
 A translating pair carrying strengths (1, -1) is launched from far away
-toward a stationary vortex of strength Gamma. The run integrates the lab
-equations in chunks, accumulating the heading of the moving vortex and
-the shape-plane signature of the encounter, until the outgoing pair
-satisfies a finite-time surrogate of escape to infinity.
+toward a stationary vortex of strength Gamma. One integration of the lab
+equations streams each accepted step into the heading of the moving
+vortex and the shape-plane signature of the encounter, until the outgoing
+pair satisfies a finite-time surrogate of escape to infinity.
 """
 
 from __future__ import annotations
@@ -12,14 +12,14 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .core import as_circulations, as_positions, flat_rhs, invariants, pair_kernel
 from .errors import BadSetup, NoEscape, VortexError
-from .integrate import IntegratorOptions, integrate
+from .integrate import IntegratorOptions, Segment, integrate
 from .reduction import ReducedSystemSpec, heading_rate, reduce_state, shape_map
 
 FloatArray = NDArray[np.float64]
@@ -127,114 +127,129 @@ def asymptotic_reduced_energy(gamma: float, spacing: float = 1.0) -> float:
     return math.log(gamma * spacing) + spec.offset
 
 
-def _pair_distances(pos: FloatArray) -> tuple[float, float]:
-    d13 = float(np.hypot(*(pos[2] - pos[0])))
-    d23 = float(np.hypot(*(pos[2] - pos[1])))
-    return d13, d23
+def _partner(pos: FloatArray) -> tuple[int, float]:
+    """Index (0 or 1) of the vortex nearer to vortex 3, and its distance."""
+    d = np.hypot(*(pos[2] - pos[:2]).T)
+    partner = int(d[1] < d[0])
+    return partner, float(d[partner])
 
 
 class _Accumulator:
-    """Streaming per-chunk reductions so long runs stay in fixed memory."""
+    """Step consumer of one scattering run.
 
-    def __init__(self, g: FloatArray, spec: ReducedSystemSpec, theta: float) -> None:
+    Check times fall on every multiple of the window (25 tau) and at the
+    time budget.  Each accepted step is cut at the check times it spans,
+    and every piece contributes four equally spaced dense-output nodes.
+    At a check time the nodes since the previous one go through the
+    heading, shape-plane and drift reductions, so long runs stay in fixed
+    memory, and the escape test then reads the dense state there.
+    """
+
+    def __init__(
+        self, y0: FloatArray, g: FloatArray, spec: ReducedSystemSpec,
+        theta: float, spacing: float, t_max: float,
+    ) -> None:
         self.g = g
         self.spec = spec
         self.theta = theta
+        self.spacing = spacing
+        self.t_max = t_max
+        tau = float(g[1]) * spacing * spacing
+        self.window = 25.0 * tau
+        self.probe = 2.0 * tau
+        self.t_check = min(self.window, t_max)
+        self.pieces: list[tuple] = []
+        self.start = (np.zeros(1), y0[None, :])
+        self.ref = invariants(y0.reshape(3, 2), g)
+        self.prev_far = math.inf
+        self.escaped = False
         self.launch_heading: float | None = None
-        self.prev_heading: float | None = None
-        self.delta_alpha = 0.0
         self.alpha_reduced = 0.0
         self.x_cross = 0
         self.y_cross = 0
         self.x_max = -math.inf
-        self.prev_x: float | None = None
-        self.prev_y: float | None = None
         self.min_distance = math.inf
-        self.ref: tuple[float, float, FloatArray] | None = None
-        self.energy_drift = 0.0
-        self.theta_drift = 0.0
-        self.impulse_drift = 0.0
-        self.ts_tail: FloatArray = np.empty(0)
-        self.headings_tail: FloatArray = np.empty(0)
+        self.drift = (0.0, 0.0, 0.0)  # energy, angular impulse, impulse
 
-    def feed(self, ts: FloatArray, ys: FloatArray) -> None:
+    def __call__(self, step: Segment, t1: float) -> bool:
+        """Take one accepted step ending at t1; True once escaped."""
+        a = step.t0
+        while a < t1:
+            b = min(self.t_check, t1)
+            self.pieces.append((step.t0, step.h, step.y0, step.coef, a, b))
+            a = b
+            if b == self.t_check:
+                if self._check(b):
+                    return True
+                self.t_check = min(b + self.window, self.t_max)
+        return False
+
+    def _check(self, t: float) -> bool:
+        # the window's nodes: its start, then four per piece of a step
+        t0, h, y0, coef, a, b = (np.array(c) for c in zip(*self.pieces))
+        nodes_t = a[:, None] + (b - a)[:, None] * np.array([0.25, 0.5, 0.75, 1.0])
+        nodes_t[:, -1] = b
+        nodes = Segment(*(np.repeat(c, 4, axis=0) for c in (t0, h, y0, coef)))
+        ts = np.concatenate((self.start[0], nodes_t.ravel()))
+        ys = np.concatenate((self.start[1], nodes.eval(nodes_t.ravel())))
+        self.pieces = []
+        self.start = (ts[-1:], ys[-1:])
+        headings = self.feed(ts, ys)
+
+        cur = ys[-1].reshape(3, 2)
+        self.partner, self.separation = _partner(cur)
+        centroid = 0.5 * (cur[2] + cur[self.partner])
+        far = float(np.hypot(*(cur[1 - self.partner] - centroid)))
+        back = int(np.searchsorted(ts, t - self.probe))
+        target = float(self.g[1]) * self.spacing
+        self.escaped = (
+            abs(self.separation - target) <= SEPARATION_TOL * target
+            and far > ESCAPE_DISTANCE * self.spacing
+            and far > self.prev_far
+            and abs(headings[-1] - headings[back]) < HEADING_TOL
+        )
+        self.prev_far = far
+        self.escape_time = t
+        return self.escaped
+
+    def feed(self, ts: FloatArray, ys: FloatArray) -> FloatArray:
+        """Reduce one window of nodes, whose first node closed the previous
+        window; returns their unwrapped headings."""
         r = ys.reshape(-1, 3, 2)
         v, rho2 = pair_kernel(r, self.g)
         raw = np.arctan2(v[:, 2, 1], v[:, 2, 0])
-        if self.prev_heading is None:
-            headings = np.unwrap(raw)
-            self.launch_heading = float(headings[0])
-        else:
-            headings = np.unwrap(np.concatenate(([self.prev_heading], raw)))[1:]
+        if self.launch_heading is None:
+            self.launch_heading = self.prev_heading = float(raw[0])
+        headings = np.unwrap(np.concatenate(([self.prev_heading], raw)))[1:]
         self.prev_heading = float(headings[-1])
-        self.delta_alpha = float(headings[-1]) - float(self.launch_heading)
-        self.ts_tail = ts
-        self.headings_tail = headings
+        self.delta_alpha = self.prev_heading - self.launch_heading
 
+        # windows share their boundary node: each neighbouring pair is tested once
         x, y, _, _ = shape_map(r, self.spec)
-        xs = np.concatenate(([self.prev_x], x)) if self.prev_x is not None else x
-        ys_shape = (
-            np.concatenate(([self.prev_y], y)) if self.prev_y is not None else y
-        )
-        self.x_cross += int(np.sum(xs[1:] * xs[:-1] < 0.0))
-        self.y_cross += int(np.sum(ys_shape[1:] * ys_shape[:-1] < 0.0))
+        self.x_cross += int(np.sum(x[1:] * x[:-1] < 0.0))
+        self.y_cross += int(np.sum(y[1:] * y[:-1] < 0.0))
         self.x_max = max(self.x_max, float(x.max()))
-        self.prev_x, self.prev_y = float(x[-1]), float(y[-1])
 
         if self.theta != 0.0:
-            rates = heading_rate(x, y, self.theta)
-            # Simpson over each accepted step, 4 equal subintervals
-            n = (len(ts) - 1) // 4
-            for i in range(n):
-                s = 4 * i
-                h = ts[s + 4] - ts[s]
-                self.alpha_reduced += (
-                    h
-                    / 12.0
-                    * (
-                        rates[s]
-                        + 4.0 * rates[s + 1]
-                        + 2.0 * rates[s + 2]
-                        + 4.0 * rates[s + 3]
-                        + rates[s + 4]
-                    )
-                )
+            q = heading_rate(x, y, self.theta)
+            # Simpson over each piece of a step, 4 equal subintervals
+            h = ts[4::4] - ts[:-4:4]
+            self.alpha_reduced += float(np.sum(
+                h / 12.0
+                * (q[:-4:4] + 4.0 * q[1::4] + 2.0 * q[2::4] + 4.0 * q[3::4] + q[4::4])
+            ))
 
         self.min_distance = min(self.min_distance, float(np.sqrt(rho2.min())))
 
         h_arr, th_arr, m_arr = invariants(r, self.g)
-        if self.ref is None:
-            self.ref = (float(h_arr[0]), float(th_arr[0]), m_arr[0].copy())
         h0, th0, m0 = self.ref
-        self.energy_drift = max(
-            self.energy_drift,
-            float(np.max(np.abs(h_arr - h0))) / max(1.0, abs(h0)),
+        drifts = (
+            float(np.max(np.abs(h_arr - h0))) / max(1.0, abs(float(h0))),
+            float(np.max(np.abs(th_arr - th0))) / max(1.0, abs(float(th0))),
+            float(np.max(np.abs(m_arr - m0))),
         )
-        self.theta_drift = max(
-            self.theta_drift,
-            float(np.max(np.abs(th_arr - th0))) / max(1.0, abs(th0)),
-        )
-        self.impulse_drift = max(
-            self.impulse_drift, float(np.max(np.abs(m_arr - m0)))
-        )
-
-    def heading_at(self, t: float) -> float:
-        i = int(np.searchsorted(self.ts_tail, t))
-        i = min(max(i, 0), len(self.headings_tail) - 1)
-        return float(self.headings_tail[i])
-
-
-def _refine_chunk(
-    traj, t0: float, y0: FloatArray
-) -> tuple[FloatArray, FloatArray]:
-    # 4 subintervals per accepted step; first node is the chunk start
-    ts = [t0]
-    ys = [y0]
-    for seg in traj.segments:
-        for u in (0.25, 0.5, 0.75, 1.0):
-            ts.append(seg.t0 + u * seg.h)
-            ys.append(seg.eval(seg.t0 + u * seg.h))
-    return np.array(ts), np.array(ys)
+        self.drift = tuple(map(max, self.drift, drifts))
+        return headings
 
 
 def run_from_state(
@@ -247,10 +262,16 @@ def run_from_state(
 ) -> ScatteringResult:
     """Integrate from an arbitrary configuration and classify the escape.
 
-    The swap test compares the final companion of vortex 2 against its
-    companion at the start, so a time-reflected exchange still registers
-    as an exchange.
+    One integration runs from 0 to at most ``t_max``; it and ``spacing``
+    must be positive and finite.  The swap test compares the final
+    companion of vortex 2 against its companion at the start, so a
+    time-reflected exchange still registers as an exchange.
     """
+    if not (0.0 < t_max < math.inf and 0.0 < spacing < math.inf):
+        raise BadSetup(
+            "time budget and spacing must be positive and finite, "
+            f"got {t_max} and {spacing}"
+        )
     pos = as_positions(positions)
     g = as_circulations(circulations, 3)
     if not (g[0] > 0.0 and g[1] > 0.0 and g[2] < 0.0):
@@ -258,90 +279,41 @@ def run_from_state(
             "engine expects two positive strengths and a negative third, "
             f"got {tuple(g)}"
         )
-    gamma = float(g[1])
     base = opts if opts is not None else IntegratorOptions()
     rspec, s0 = reduce_state(pos, g)
-    theta = s0.Theta
-    target_sep = gamma * spacing
-
-    tau = gamma * spacing * spacing
-    chunk = 25.0 * tau
-    probe = 2.0 * tau
-
-    f = flat_rhs(g)
-    acc = _Accumulator(g, rspec, theta)
-    d13, d23 = _pair_distances(pos)
-    initial_partner = 0 if d13 <= d23 else 1
-
-    t = 0.0
-    y = pos.reshape(6).copy()
-    prev_far = math.inf
-    escaped = False
-    while True:
-        o = IntegratorOptions(
-            rtol=base.rtol,
-            atol=base.atol,
-            max_step=base.max_step,
-            t0=t,
-            t_end=min(t + chunk, t_max),
-            max_steps=base.max_steps,
-        )
-        traj = integrate(f, y, o)
-        ts_f, ys_f = _refine_chunk(traj, t, y)
-        acc.feed(ts_f, ys_f)
-
-        t = float(traj.ts[-1])
-        y = traj.ys[-1].copy()
-        cur = y.reshape(3, 2)
-        d13, d23 = _pair_distances(cur)
-        partner = 0 if d13 <= d23 else 1
-        sep = d13 if partner == 0 else d23
-        bystander = 1 - partner
-        centroid = 0.5 * (cur[2] + cur[partner])
-        far = float(np.hypot(*(cur[bystander] - centroid)))
-        steady = abs(acc.heading_at(t) - acc.heading_at(t - probe))
-        if (
-            abs(sep - target_sep) <= SEPARATION_TOL * target_sep
-            and far > ESCAPE_DISTANCE * spacing
-            and far > prev_far
-            and steady < HEADING_TOL
-        ):
-            escaped = True
-            break
-        prev_far = far
-        if t >= t_max:
-            break
-    if not escaped:
+    y0 = pos.reshape(6).copy()
+    acc = _Accumulator(y0, g, rspec, s0.Theta, spacing, t_max)
+    integrate(flat_rhs(g), y0, replace(base, t0=0.0, t_end=t_max), on_step=acc)
+    if not acc.escaped:
         raise NoEscape(
             f"no escape within the time budget {t_max:g} "
             "(separatrix slowdown or a bound interaction)"
         )
 
-    swapped = partner != initial_partner
-    if swapped:
+    if acc.partner != _partner(pos)[0]:
         outcome = EXCHANGE
     elif acc.x_max > 0.0:
         outcome = EXTENDED_DIRECT
     else:
         outcome = DIRECT
     reduced: float | None = None
-    if abs(gamma - 1.0) < 1e-12 and rspec.selector == "specialized-11m1":
+    if abs(g[1] - 1.0) < 1e-12 and rspec.selector == "specialized-11m1":
         reduced = acc.alpha_reduced
     return ScatteringResult(
         delta_alpha=acc.delta_alpha,
         delta_alpha_reduced=reduced,
         outcome=outcome,
-        partner=partner,
-        partner_distance=sep,
+        partner=acc.partner,
+        partner_distance=acc.separation,
         min_distance=acc.min_distance,
-        escape_time=t,
-        theta=theta,
+        escape_time=acc.escape_time,
+        theta=s0.Theta,
         x_crossings=acc.x_cross,
         y_crossings=acc.y_cross,
         crossed_positive_x=acc.x_max > 0.0,
-        energy_drift=acc.energy_drift,
-        theta_drift=acc.theta_drift,
-        impulse_drift=acc.impulse_drift,
+        energy_drift=acc.drift[0],
+        theta_drift=acc.drift[1],
+        impulse_drift=acc.drift[2],
     )
 
 

@@ -265,6 +265,17 @@ def test_oversized_inputs_are_usage_errors_before_any_work():
         assert err
 
 
+def test_time_budgets_and_tolerances_out_of_range_are_usage_errors():
+    for args in (
+        *(["sweep", "--rho", "0.5", "--t-end", v] for v in ("-5", "0", "nan", "inf")),
+        ["reduced", "--rho", "0.5", "--t-end", "200", "--atol", "inf"],
+        ["simulate", "--rho", "0.5", "--rtol", "nan"],
+    ):
+        code, out, err = run_cli(args)
+        assert (code, out) == (1, ""), args
+        assert err
+
+
 def test_step_budget_exhaustion_exits_numerical(monkeypatch):
     def exhausted(*args, **kwargs):
         raise StepBudgetExceeded(1.5, 3)

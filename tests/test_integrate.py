@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trivortex.core import conserved, flat_rhs
 from trivortex.errors import StepBudgetExceeded, StepSizeUnderflow
@@ -99,6 +101,14 @@ def test_option_validation():
         IntegratorOptions(t_end=math.inf)
     with pytest.raises(ValueError):
         IntegratorOptions(max_step=-1.0)
+    for bad in (
+        {"rtol": math.inf}, {"atol": math.inf}, {"rtol": math.nan},
+        {"atol": math.nan}, {"max_step": math.nan}, {"max_step": 0.0},
+        {"max_steps": 0},
+    ):
+        with pytest.raises(ValueError):
+            IntegratorOptions(**bad)
+    assert IntegratorOptions().max_step == math.inf  # no cap stays allowed
 
 
 def test_tolerance_halving_improves_scattering_endpoints():
@@ -126,3 +136,75 @@ def test_exhausted_step_budget_is_its_own_error():
         integrate(f, [0.0, 0.5, 0.0, -0.5], IntegratorOptions(t_end=100.0, max_steps=3))
     assert not isinstance(exc.value, StepSizeUnderflow)
     assert exc.value.max_steps == 3 and "3 steps" in str(exc.value)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    t_end=st.sampled_from([3.0, -3.0]),
+    rtol=st.sampled_from([1e-5, 1e-8]),
+    fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30),
+)
+def test_array_interpolate_equals_stacked_scalar_calls(t_end, rtol, fractions):
+    f = flat_rhs([1.0, 1.0, -1.0])
+    y0 = [-3.0, 1.0, 0.0, -1.0, -3.0, 0.0]
+    traj = integrate(f, y0, IntegratorOptions(t_end=t_end, rtol=rtol))
+    # arbitrary times plus every step boundary
+    ts = np.concatenate((t_end * np.array(fractions), traj.ts))
+    many = traj.interpolate(ts)
+    stacked = np.stack([traj.interpolate(float(t)) for t in ts])
+    assert many.shape == (len(ts), 6)
+    assert many.tobytes() == stacked.tobytes()
+
+
+def test_array_interpolate_rejects_times_outside_the_span():
+    traj = integrate(_oscillator, [1.0, 0.0], IntegratorOptions(t_end=1.0))
+    with pytest.raises(ValueError):
+        traj.interpolate(np.array([0.5, 1.5]))
+    with pytest.raises(ValueError):
+        traj.interpolate(np.array([0.5, math.nan]))
+
+
+def test_step_consumer_sees_every_step_and_run_keeps_no_samples():
+    opts = IntegratorOptions(t_end=6.0)
+    full = integrate(_oscillator, [1.0, 0.0], opts)
+    seen = []
+
+    def take(step, t):
+        seen.append((step.t0, step.h, t))
+        return False
+
+    traj = integrate(_oscillator, [1.0, 0.0], opts, on_step=take)
+    assert traj.steps is None
+    assert traj.ts.tolist() == [0.0, 6.0]
+    assert traj.ys.tobytes() == full.ys[[0, -1]].tobytes()
+    assert [s[0] for s in seen] == full.steps.t0.tolist()
+    assert [s[1] for s in seen] == full.steps.h.tolist()
+    assert [s[2] for s in seen] == full.ts[1:].tolist()
+    with pytest.raises(ValueError):
+        traj.interpolate(1.0)
+
+
+def test_step_consumer_ends_the_run():
+    full = integrate(_oscillator, [1.0, 0.0], IntegratorOptions(t_end=6.0))
+    traj = integrate(
+        _oscillator, [1.0, 0.0], IntegratorOptions(t_end=6.0),
+        on_step=lambda step, t: t > 2.0,
+    )
+    stop = int(np.argmax(full.ts > 2.0))
+    assert traj.ts[-1] == full.ts[stop]
+    assert traj.ys[-1].tobytes() == full.ys[stop].tobytes()
+
+
+@pytest.mark.parametrize("rho", [-0.5, 1.0, 2.5])
+def test_forward_then_backward_returns_to_the_start(rho):
+    # a dipole passing a lone vortex, run out and back
+    f = flat_rhs([1.0, 1.0, -1.0])
+    y0 = np.array([-15.0, rho + 0.5, 0.0, -1.0, -15.0, rho - 0.5])
+    rtol = 1e-10
+    fwd = integrate(f, y0, IntegratorOptions(t_end=40.0, rtol=rtol, atol=1e-12))
+    back = integrate(
+        f, fwd.ys[-1], IntegratorOptions(t0=40.0, t_end=0.0, rtol=rtol, atol=1e-12)
+    )
+    assert back.ts[0] == 0.0
+    scale = float(np.abs(fwd.ys).max())
+    assert float(np.abs(back.ys[0] - y0).max()) <= 10.0 * rtol * scale

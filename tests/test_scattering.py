@@ -93,6 +93,45 @@ def test_run_from_state_rejects_wrong_sign_pattern():
         run_from_state(pos, np.array([1.0, -1.0, 1.0]))
 
 
+@pytest.mark.parametrize("bad", [-5.0, 0.0, math.nan, math.inf])
+def test_time_budget_and_spacing_must_be_positive_and_finite(bad, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("integrated despite a bad setup")
+
+    monkeypatch.setattr(scattering, "integrate", never)
+    pos, g = initial_state(ScatteringSetup(rho=0.5))
+    with pytest.raises(BadSetup, match="time budget"):
+        run_from_state(pos, g, t_max=bad)
+    # a zero spacing would give a zero check window that never advances
+    with pytest.raises(BadSetup, match="spacing"):
+        run_from_state(pos, g, spacing=bad)
+    _, rows = sweep([0.5], t_max=bad)
+    assert rows[0][4] == "error:BadSetup"
+
+
+def test_one_run_is_one_integration(monkeypatch):
+    calls = []
+
+    def counting(f, y0, opts, on_step=None):
+        traj = integrate(f, y0, opts, on_step)
+        calls.append((opts.t0, opts.t_end, len(traj.ts)))
+        return traj
+
+    monkeypatch.setattr(scattering, "integrate", counting)
+    res = run(ScatteringSetup(rho=4.5, gamma=2.0))
+    # one run from 0 that keeps only its first and last state
+    assert calls == [(0.0, scattering.DEFAULT_TIME_BUDGET, 2)]
+    # the escape test still reads the state on the 25 tau grid (tau = 2)
+    assert res.escape_time > 0.0 and res.escape_time % 50.0 == 0.0
+
+
+def test_budget_between_check_times_is_checked_at_its_end():
+    # the rho = 2.5 pair first passes the escape test at 175; a budget of
+    # 170 puts the last check at 170, where the pair has already escaped
+    assert run(ScatteringSetup(rho=2.5)).escape_time == 175.0
+    assert run(ScatteringSetup(rho=2.5), t_max=170.0).escape_time == 170.0
+
+
 def test_asymptotic_energy_unit_strengths():
     assert asymptotic_reduced_energy(1.0) == pytest.approx(
         math.log(2.0), rel=1e-15
