@@ -28,7 +28,6 @@ from trivortex.reduction import (
     NambuState,
     ReducedSystemSpec,
     integrate_reduced,
-    map_trajectory,
     reduce_state,
     reduced_hamiltonian,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "hamiltonian",
     "integrate",
     "integrate_reduced",
-    "map_trajectory",
     "p4_factor",
     "reduce_state",
     "reduced_hamiltonian",

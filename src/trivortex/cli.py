@@ -13,7 +13,6 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -64,25 +63,6 @@ CLOSED_FORM_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One resolved invocation: subcommand, its options, output routing."""
-
-    subcommand: str
-    options: dict
-    out: str | None
-    format: str
-    seed: int
-
-    def as_dict(self) -> dict:
-        return {
-            "subcommand": self.subcommand,
-            "seed": self.seed,
-            "format": self.format,
-            **self.options,
-        }
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad usage; the contract reserves 2 for
     # numerical failures, so remap
@@ -119,24 +99,9 @@ def _parse_positions(text: str) -> np.ndarray:
     return np.array(vals).reshape(3, 2)
 
 
-def _fmt(cell) -> str:
-    if cell is None:
-        return ""
-    if isinstance(cell, str):
-        return cell
-    if isinstance(cell, (bool, np.bool_)):
-        return "1" if cell else "0"
-    if isinstance(cell, (int, np.integer)):
-        return str(int(cell))
-    x = float(cell)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return format(x, ".17g")
-
-
-def _json_cell(cell):
+def _cell(cell):
+    """A table cell as None, str, bool, int or float; non-finite floats
+    become "nan", "inf" and "-inf", since strict JSON has no literal for them."""
     if cell is None or isinstance(cell, str):
         return cell
     if isinstance(cell, (bool, np.bool_)):
@@ -144,25 +109,38 @@ def _json_cell(cell):
     if isinstance(cell, (int, np.integer)):
         return int(cell)
     x = float(cell)
-    if math.isnan(x) or math.isinf(x):
-        return _fmt(x)  # strict JSON has no non-finite literals
+    if math.isnan(x):
+        return "nan"
+    if math.isinf(x):
+        return "inf" if x > 0 else "-inf"
     return x
 
 
-def _emit(config: RunConfig, columns, rows) -> None:
-    if config.format == "csv":
+def _fmt(cell) -> str:
+    c = _cell(cell)
+    if c is None:
+        return ""
+    if isinstance(c, bool):
+        return "1" if c else "0"
+    if isinstance(c, float):
+        return format(c, ".17g")
+    return str(c)
+
+
+def _emit(ns, columns, rows) -> None:
+    if ns.format == "csv":
         text = _render_csv(columns, rows)
     else:
         payload = {
-            "config": config.as_dict(),
+            "config": {k: v for k, v in vars(ns).items() if k != "out"},
             "columns": list(columns),
-            "rows": [[_json_cell(c) for c in row] for row in rows],
+            "rows": [[_cell(c) for c in row] for row in rows],
         }
         text = json.dumps(payload, sort_keys=True, allow_nan=False) + "\n"
-    if config.out is None:
+    if ns.out is None:
         sys.stdout.write(text)
     else:
-        with open(config.out, "w", newline="") as f:
+        with open(ns.out, "w", newline="") as f:
             f.write(text)
 
 
@@ -353,8 +331,6 @@ def cmd_sweep(ns) -> tuple[tuple, list]:
     rhos = _parse_values(ns.rho, "--rho")
     if ns.gamma <= 0.0:
         raise ValueError("--gamma must be positive")
-    if ns.jobs < 1:
-        raise ValueError("--jobs must be at least 1")
     t_max = ns.t_end if ns.t_end is not None else DEFAULT_TIME_BUDGET
     if not (t_max > 0.0 and math.isfinite(t_max)):
         raise ValueError("--t-end must be positive and finite")
@@ -414,7 +390,7 @@ def cmd_closed_form(ns) -> tuple[tuple, list]:
         raise ValueError("closed-form needs --rho (value, list, or range)")
     rows = []
     for rho in _parse_values(ns.rho, "--rho"):
-        theta = 1.0 + 2.0 * rho
+        theta = ScatteringSetup(rho=rho).theta()
         try:
             regime = p4_factor(theta).regime
         except BoundaryTheta:
@@ -441,9 +417,6 @@ _HANDLERS = {
     "closed-form": cmd_closed_form,
 }
 
-_CONFIG_SKIP = {"func", "out", "format", "seed"}
-
-
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="trivortex",
@@ -453,21 +426,21 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="subcommand", required=True,
                                 parser_class=_Parser)
 
-    def common(p, *, times=False):
+    def common(p, *, integrates=False):
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--seed", type=int, default=0,
                        help="recorded in the config echo for reproducibility")
-        p.add_argument("--rtol", type=float, default=1e-10)
-        p.add_argument("--atol", type=float, default=1e-12)
-        if times:
+        if integrates:
+            p.add_argument("--rtol", type=float, default=1e-10)
+            p.add_argument("--atol", type=float, default=1e-12)
             p.add_argument("--L", dest="launch", type=float, default=100.0,
                            help="launch distance of the incoming pair")
             p.add_argument("--d", dest="spacing", type=float, default=1.0,
                            help="length scale of the setup")
 
     p = sub.add_parser("simulate", help="lab-frame trajectory table")
-    common(p, times=True)
+    common(p, integrates=True)
     p.add_argument("--rho", help="impact offset (launch mode)")
     p.add_argument("--gamma", type=float, default=1.0)
     p.add_argument("--gammas", type=lambda s: [float(x) for x in s.split(",")],
@@ -477,7 +450,7 @@ def build_parser() -> _Parser:
     p.add_argument("--samples", type=int, default=1001)
 
     p = sub.add_parser("reduced", help="shape-plane trajectory or level sets")
-    common(p, times=True)
+    common(p, integrates=True)
     p.add_argument("--rho", help="impact offset (launch mode)")
     p.add_argument("--gamma", type=float, default=1.0)
     p.add_argument("--gammas", type=lambda s: [float(x) for x in s.split(",")],
@@ -492,7 +465,7 @@ def build_parser() -> _Parser:
     p.add_argument("--samples", type=int, default=1001)
 
     p = sub.add_parser("sweep", help="scattering angle over offsets")
-    common(p, times=True)
+    common(p, integrates=True)
     p.add_argument("--rho", help="offsets: value, comma list, or start:stop:step")
     p.add_argument("--gamma", type=float, default=1.0)
     p.add_argument("--t-end", dest="t_end", type=float, default=None,
@@ -558,17 +531,6 @@ def main(argv=None) -> int:
         ns = parser.parse_args(_merge_dash_values(list(argv)))
     except SystemExit as e:
         return int(e.code or 0)
-    options = {
-        k: v for k, v in sorted(vars(ns).items()) if k not in _CONFIG_SKIP
-        and k != "subcommand"
-    }
-    config = RunConfig(
-        subcommand=ns.subcommand,
-        options=options,
-        out=ns.out,
-        format=ns.format,
-        seed=ns.seed,
-    )
     try:
         columns, rows = _HANDLERS[ns.subcommand](ns)
     except (ValueError, BadSetup) as exc:
@@ -579,7 +541,7 @@ def main(argv=None) -> int:
             f"trivortex {ns.subcommand}: {type(exc).__name__}: {exc}\n"
         )
         return NUMERICAL_ERROR
-    _emit(config, columns, rows)
+    _emit(ns, columns, rows)
     return 0
 
 

@@ -50,16 +50,16 @@ def as_circulations(
     return g
 
 
-def _pairs(x: FloatArray, floor: float | None) -> tuple[FloatArray, FloatArray]:
+def _pairs(x: FloatArray, guard: bool) -> tuple[FloatArray, FloatArray]:
     """Pairwise offsets and squared distances, +inf on the diagonal; with
-    ``floor`` set, the first pair (i < j) closer than it raises."""
+    ``guard``, the first pair (i < j) closer than COINCIDENCE_FLOOR raises."""
     d = x[..., :, None, :] - x[..., None, :, :]
     rho2 = d[..., 0] ** 2 + d[..., 1] ** 2
     n = x.shape[-2]
     rho2.reshape(*rho2.shape[:-2], n * n)[..., :: n + 1] = np.inf
-    if floor is not None:
+    if guard:
         k = int(np.argmin(rho2))
-        if rho2.flat[k] < floor * floor:
+        if rho2.flat[k] < COINCIDENCE_FLOOR * COINCIDENCE_FLOOR:
             i, j = divmod(k % (n * n), n)
             raise CoincidentVortices(i, j, float(np.sqrt(rho2.flat[k])))
     return d, rho2
@@ -71,24 +71,21 @@ def _dot(a: FloatArray, g: FloatArray) -> FloatArray:
     return (a[..., None, :] @ g)[..., 0]
 
 
-def pair_kernel(
-    x: FloatArray, g: FloatArray, floor: float | None = None
-) -> tuple[FloatArray, FloatArray]:
+def pair_kernel(x: FloatArray, g: FloatArray) -> tuple[FloatArray, FloatArray]:
     """Velocities (shaped like ``x``) and squared pair distances (+inf on the
-    diagonal) of a validated (N, 2) state or (..., N, 2) stack."""
-    d, rho2 = _pairs(x, floor)
+    diagonal) of a validated (N, 2) state or (..., N, 2) stack.  Raises
+    CoincidentVortices when a pair sits closer than COINCIDENCE_FLOOR."""
+    d, rho2 = _pairs(x, True)
     w = g / rho2
     vx = -(w * d[..., 1]).sum(axis=-1)
     vy = (w * d[..., 0]).sum(axis=-1)
     return np.stack([vx, vy], axis=-1), rho2
 
 
-def invariants(
-    x: FloatArray, g: FloatArray, floor: float | None = None
-) -> tuple[FloatArray, FloatArray, FloatArray]:
+def invariants(x: FloatArray, g: FloatArray) -> tuple[FloatArray, FloatArray, FloatArray]:
     """H, Theta and M (trailing axis of 2) over the leading axes of ``x``,
     inputs as for ``pair_kernel``; a coincident pair sends H to +/-inf."""
-    _, rho2 = _pairs(x, floor)
+    _, rho2 = _pairs(x, False)
     iu, ju = np.triu_indices(g.shape[0], k=1)
     with np.errstate(divide="ignore"):
         h = -0.5 * np.sum(g[iu] * g[ju] * np.log(rho2[..., iu, ju]), axis=-1)
@@ -100,8 +97,6 @@ def invariants(
 def rhs(
     positions: FloatArray | Sequence[Sequence[float]],
     circulations: FloatArray | Sequence[float],
-    *,
-    floor: float = COINCIDENCE_FLOOR,
 ) -> FloatArray:
     """Velocities of every vortex under the mutual interaction.
 
@@ -109,26 +104,25 @@ def rhs(
     ----------
     positions : (N, 2) array, or an (..., N, 2) stack of states
     circulations : (N,) array of vortex strengths
-    floor : minimum admissible pair separation
 
     Returns the velocities, shaped like ``positions``.  Raises
-    CoincidentVortices when any pair sits closer than ``floor``.
+    CoincidentVortices when any pair sits closer than COINCIDENCE_FLOOR.
     """
     x = as_positions(positions)
     g = as_circulations(circulations, x.shape[-2])
-    return pair_kernel(x, g, floor)[0]
+    return pair_kernel(x, g)[0]
 
 
 def hamiltonian(
     positions: FloatArray | Sequence[Sequence[float]],
     circulations: FloatArray | Sequence[float],
-    *,
-    floor: float = COINCIDENCE_FLOOR,
 ) -> float:
-    """Interaction energy of the configuration."""
+    """Interaction energy of the configuration.  Raises CoincidentVortices
+    when any pair sits closer than COINCIDENCE_FLOOR."""
     x = as_positions(positions)
     g = as_circulations(circulations, x.shape[0])
-    return float(invariants(x, g, floor)[0])
+    _pairs(x, True)
+    return float(invariants(x, g)[0])
 
 
 @dataclass(frozen=True, slots=True)
@@ -170,11 +164,7 @@ def conserved(
     return ConservedSet(H=h, M=(mx, my), Theta=theta, r0=r0)
 
 
-def flat_rhs(
-    circulations: FloatArray | Sequence[float],
-    *,
-    floor: float = COINCIDENCE_FLOOR,
-):
+def flat_rhs(circulations: FloatArray | Sequence[float]):
     """Adapter producing a flat-vector callable for the integrator.
 
     The state is ``[x1, y1, ..., xN, yN]``; the returned function maps
@@ -184,7 +174,7 @@ def flat_rhs(
     n = g.shape[0]
 
     def f(t: float, y: FloatArray) -> FloatArray:
-        v = rhs(np.asarray(y, dtype=np.float64).reshape(n, 2), g, floor=floor)
+        v = rhs(np.asarray(y, dtype=np.float64).reshape(n, 2), g)
         return v.reshape(2 * n)
 
     return f

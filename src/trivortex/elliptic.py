@@ -297,32 +297,6 @@ def p4_factor(theta: float) -> QuarticFactorization:
     return QuarticFactorization(IMAG_IMAG, -rad + gap, -rad - gap, 0.0, t)
 
 
-def deflection_integrand(theta: float, y: float) -> float:
-    """Value of the deflection integrand at height Y above the lower limit.
-
-    The square root of the quartic is assembled from the factored form, so
-    regimes with nearly coincident roots stay accurate.
-    """
-    fac = p4_factor(theta)
-    if not y > fac.y_min:
-        raise DomainError("Y must exceed the lower integration limit")
-    t = theta
-    ysq = y * y
-    if fac.regime == REAL_REAL:
-        root = math.sqrt((ysq - fac.a_sq) * (ysq - fac.b_sq))
-    elif fac.regime == REAL_IMAG:
-        root = math.sqrt((ysq - fac.a_sq) * (ysq + fac.b_sq))
-    elif fac.regime == IMAG_IMAG:
-        root = math.sqrt((ysq + fac.a_sq) * (ysq + fac.b_sq))
-    else:
-        b = t * t - 4.0 * t - 8.0
-        root = math.sqrt((ysq + b) ** 2 - 64.0 * (t + 1.0))
-    lead = -8.0 * t * t / (ysq + t * t) + 8.0 * (t * t - 8.0 * t) / (
-        ysq + t * t - 8.0 * t
-    )
-    return lead / root
-
-
 def delta_alpha_quadrature(theta: float, tol: float = 1e-11) -> float:
     """Deflection angle by direct quadrature of the two-term integral.
 

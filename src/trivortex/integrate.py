@@ -57,7 +57,6 @@ _EXPO = 0.2 - 0.75 * _BETA
 class IntegratorOptions:
     rtol: float = 1e-10
     atol: float = 1e-12
-    max_step: float = math.inf
     t0: float = 0.0
     t_end: float = 1.0
     max_steps: int = 5_000_000
@@ -67,8 +66,6 @@ class IntegratorOptions:
             raise ValueError("rtol and atol must be positive and finite")
         if not (math.isfinite(self.t0) and math.isfinite(self.t_end)):
             raise ValueError("time span must be finite")
-        if not self.max_step > 0.0:
-            raise ValueError("max_step must be positive")
         if not self.max_steps >= 1:
             raise ValueError("max_steps must be at least 1")
 
@@ -129,7 +126,7 @@ class Trajectory:
 
 def _initial_step(
     f: RHS, t0: float, y0: FloatArray, f0: FloatArray, s: float,
-    rtol: float, atol: float, span: float, max_step: float,
+    rtol: float, atol: float, span: float,
 ) -> float:
     """Hairer-style starting step size guess."""
     scale = atol + rtol * np.abs(y0)
@@ -143,7 +140,7 @@ def _initial_step(
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100 * h0, h1, span, max_step)
+    return min(100 * h0, h1, span)
 
 
 def integrate(
@@ -178,7 +175,7 @@ def integrate(
     if span == 0.0:
         return Trajectory(np.array(ts), np.array(ys))
 
-    h = _initial_step(f, t, y, f0, s, opts.rtol, opts.atol, span, opts.max_step)
+    h = _initial_step(f, t, y, f0, s, opts.rtol, opts.atol, span)
     err_prev = 1e-4
     k = np.empty((7, y.size))
     k[0] = f0
@@ -228,7 +225,7 @@ def integrate(
         if last:
             break
         factor = _SAFETY * err**-_EXPO * err_prev**_BETA if err > 0.0 else 10.0
-        h = min(h * min(10.0, max(0.2, factor)), opts.max_step)
+        h *= min(10.0, max(0.2, factor))
         err_prev = max(err, 1e-10)
 
     if on_step is not None:

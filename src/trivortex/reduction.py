@@ -160,10 +160,6 @@ class NambuState:
         if self.geometry == HYPERBOLOID and self.Z < -1e-12 * scale:
             raise ValueError(f"hyperboloid sheet requires Z >= 0, got Z={self.Z}")
 
-    def casimir_residual(self) -> float:
-        """Defect of the quadratic identity tying the point to its leaf."""
-        return float(leaf_residual(self.geometry, self.X, self.Y, self.Z, self.Theta)[0])
-
 
 def leaf_residual(geometry: str, X, Y, Z, Theta) -> tuple:
     """Casimir defect Theta^2 - Q(X, Y, Z) of the leaf identity and its scale
@@ -286,7 +282,6 @@ class ReducedSystemSpec:
     kappa1: float
     kappa2: float
     kappa3: float
-    coupling: float
     selector: str
     offset: float
     terms: tuple[_LogTerm, ...]
@@ -311,7 +306,6 @@ class ReducedSystemSpec:
         g_in = as_circulations(circulations, 3)
         perm, rev, g = _relabel(g_in)
         k1, k2, k3 = _kappas(np.asarray(g))
-        coupling = math.sqrt(k1 / abs(k2))
 
         def close(u: float, v: float) -> bool:
             return abs(u - v) <= 1e-12 * max(1.0, abs(v))
@@ -353,7 +347,7 @@ class ReducedSystemSpec:
             )
         else:
             # exact lab-energy terms; the (1,1,1) printed form is already exact
-            mu = coupling
+            mu = math.sqrt(k1 / abs(k2))
             terms = (
                 _LogTerm(
                     -g[0] * g[1] / 2.0, 0.0, 1.0 / (2 * k1), 1.0 / (2 * k1), (0, 1)
@@ -378,7 +372,6 @@ class ReducedSystemSpec:
             kappa1=k1,
             kappa2=k2,
             kappa3=k3,
-            coupling=coupling,
             selector=selector,
             offset=offset,
             terms=terms,
@@ -471,21 +464,6 @@ def heading_rate(X, Y, Theta: float):
     return np.divide(-4.0 * Theta * y2, (X * X + y2) * (Theta * Theta + y2))
 
 
-def alpha_rate(s: NambuState) -> float:
-    """Turning rate of the lone vortex's velocity heading.
-
-    Valid for the (1, 1, -1) family.  Vanishes identically on the Theta = 0
-    leaf and at collinear instants.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rate = float(heading_rate(s.X, s.Y, s.Theta))
-    if not math.isfinite(rate):
-        raise DegenerateDenominator(
-            f"heading rate undefined at X={s.X}, Y={s.Y}, Theta={s.Theta}"
-        )
-    return rate
-
-
 def theta2_rate(s: NambuState) -> float:
     """Phase rate of the lone vortex's position vector, shifted by pi/2.
 
@@ -498,24 +476,6 @@ def theta2_rate(s: NambuState) -> float:
         )
     root = float(leaf_z(s.Theta, s.X, s.Y))
     return (2.0 * s.Y**2 * root - 2.0 * s.Theta * s.X**2) / den
-
-
-@dataclass(slots=True)
-class ReducedPath:
-    """Shape-space image of a lab trajectory."""
-
-    ts: FloatArray
-    points: FloatArray  # (n, 3) columns X, Y, Z
-    theta: FloatArray
-    geometry: str
-    spec: ReducedSystemSpec
-
-    def state(self, i: int) -> NambuState:
-        x, y, z = self.points[i]
-        return NambuState(
-            X=float(x), Y=float(y), Z=float(z),
-            Theta=float(self.theta[i]), geometry=self.geometry,
-        )
 
 
 def reduce_state(
@@ -540,21 +500,6 @@ def shape_map(
     x = as_positions(positions)[..., spec.permutation, :]
     R1, R2 = _relative_vectors(x, spec.circulations)
     return _nambu(spec.kappa1, spec.kappa2, R1, R2)
-
-
-def map_trajectory(
-    traj: Trajectory,
-    circulations: FloatArray | Sequence[float],
-    spec: ReducedSystemSpec | None = None,
-) -> ReducedPath:
-    """Map every sample of a three-vortex trajectory to shape space."""
-    if spec is None:
-        spec = ReducedSystemSpec.for_circulations(circulations)
-    X, Y, Z, theta = shape_map(traj.ys.reshape(-1, 3, 2), spec)
-    return ReducedPath(
-        ts=traj.ts.copy(), points=np.stack([X, Y, Z], axis=1), theta=theta,
-        geometry=spec.geometry, spec=spec,
-    )
 
 
 def integrate_reduced(

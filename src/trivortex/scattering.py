@@ -330,16 +330,11 @@ def run(
     )
 
 
-def _sweep_row(payload) -> tuple:
-    rho, gamma, launch, spacing, rtol, atol, t_max = payload
-    setup = ScatteringSetup(rho=rho, gamma=gamma, launch=launch, spacing=spacing)
-    theta = setup.theta()
+def _sweep_row(payload: tuple[ScatteringSetup, IntegratorOptions, float]) -> tuple:
+    setup, opts, t_max = payload
+    rho, theta = setup.rho, setup.theta()
     try:
-        res = run(
-            setup,
-            IntegratorOptions(rtol=rtol, atol=atol),
-            t_max=t_max,
-        )
+        res = run(setup, opts, t_max=t_max)
     except NoEscape:
         return (rho, theta, math.nan, "", "near-separatrix")
     except VortexError as exc:
@@ -362,11 +357,14 @@ def sweep(
     Rows are independent; they are computed (optionally in parallel, on at
     most one worker per row and per CPU) and always reported in the order
     the offsets were given.  A row that hits the time budget is flagged
-    rather than aborting the sweep.
+    rather than aborting the sweep.  Raises BadSetup unless ``jobs`` is at
+    least 1.
     """
+    if not jobs >= 1:
+        raise BadSetup(f"jobs must be at least 1, got {jobs}")
     base = opts if opts is not None else IntegratorOptions()
     payloads = [
-        (float(r), gamma, launch, spacing, base.rtol, base.atol, t_max)
+        (ScatteringSetup(float(r), gamma, launch, spacing), base, t_max)
         for r in rhos
     ]
     workers = min(jobs, len(payloads), os.cpu_count() or 1)

@@ -37,6 +37,12 @@ def test_exit_codes():
     assert code == 2 and "BoundaryTheta" in err
     code, _, _ = run_cli(["critical", "--gamma", "1"])
     assert code == 0
+    # only the subcommands that integrate take tolerances
+    for argv in (
+        ["critical"], ["equilibria", "--theta", "1"],
+        ["bifurcation", "--gammas", "0.8:0.9:0.1"], ["closed-form", "--rho", "1"],
+    ):
+        assert run_cli(argv + ["--rtol", "1e-8"])[0] == 1
 
 
 def test_csv_is_crlf_with_17_digit_cells():
@@ -76,6 +82,7 @@ def test_json_schema_and_config_echo():
     assert set(doc) == {"config", "columns", "rows"}
     assert doc["config"]["subcommand"] == "closed-form"
     assert doc["config"]["seed"] == 7
+    assert not {"out", "rtol", "atol"} & set(doc["config"])
     assert doc["columns"] == [
         "rho", "Theta", "regime", "delta_alpha_closed",
         "delta_alpha_quadrature",

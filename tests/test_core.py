@@ -9,7 +9,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from trivortex.core import ConservedSet, conserved, hamiltonian, pair_kernel, rhs
+from trivortex.core import (
+    COINCIDENCE_FLOOR,
+    ConservedSet,
+    conserved,
+    hamiltonian,
+    pair_kernel,
+    rhs,
+)
 from trivortex.errors import CoincidentVortices
 
 
@@ -76,12 +83,12 @@ def test_coincidence_guard_and_floor():
     with pytest.raises(CoincidentVortices) as exc:
         rhs(x, [1.0, 1.0])
     assert exc.value.pair == (0, 1)
-    # a looser floor trips earlier, a tighter one lets the state through
-    y = [(0.0, 0.0), (1e-7, 0.0)]
-    rhs(y, [1.0, 1.0])
     with pytest.raises(CoincidentVortices):
-        rhs(y, [1.0, 1.0], floor=1e-6)
-    assert np.isfinite(rhs(x, [1.0, 1.0], floor=1e-14)).all()
+        hamiltonian(x, [1.0, 1.0])
+    # the floor is COINCIDENCE_FLOOR: a pair just outside it is admitted
+    y = [(0.0, 0.0), (2.0 * COINCIDENCE_FLOOR, 0.0)]
+    assert np.isfinite(rhs(y, [1.0, 1.0])).all()
+    assert math.isfinite(hamiltonian(y, [1.0, 1.0]))
 
 
 def _random_states(count: int, seed: int):

@@ -21,7 +21,6 @@ from trivortex.elliptic import (
     closed_form_terms,
     complete_k,
     complete_pi,
-    deflection_integrand,
     delta_alpha_closed,
     delta_alpha_legendre,
     delta_alpha_quadrature,
@@ -283,21 +282,6 @@ def test_deflection_vanishes_at_large_offset():
     for t in (101.0, -99.0):
         assert abs(delta_alpha_quadrature(t)) < 0.05
         assert abs(delta_alpha_closed(t)) < 0.05
-
-
-def test_integrand_quartic_tail_decay():
-    t = 6.0
-    y0 = p4_factor(t).y_min
-    ratios = []
-    for y in (50.0, 100.0, 200.0):
-        assert y > y0
-        ratios.append(
-            deflection_integrand(t, y) / deflection_integrand(t, 2.0 * y)
-        )
-    for r in ratios:
-        assert r == pytest.approx(16.0, rel=0.01)
-    with pytest.raises(DomainError):
-        deflection_integrand(t, 0.5 * y0)
 
 
 def test_legendre_combination_on_outer_leaf():

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from trivortex.core import flat_rhs, hamiltonian, rhs as lab_rhs
@@ -23,13 +23,12 @@ from trivortex.reduction import (
     JacobiFrame,
     NambuState,
     ReducedSystemSpec,
-    alpha_rate,
     contour_cells,
     frame_from_vectors,
     from_jacobi,
     heading_rate,
     integrate_reduced,
-    map_trajectory,
+    leaf_residual,
     nambu_rhs,
     nambu_to_frame,
     reduce_state,
@@ -132,8 +131,8 @@ def test_identical_strengths_equilateral_maps_to_pole():
     assert abs(abs(s.Y) - s.Theta) < 1e-12
 
     traj = integrate(flat_rhs([1.0, 1.0, 1.0]), x.ravel(), IntegratorOptions(t_end=8.0))
-    path = map_trajectory(traj, [1.0, 1.0, 1.0])
-    assert np.abs(path.points - path.points[0]).max() < 1e-8
+    points = np.stack(shape_map(traj.ys.reshape(-1, 3, 2), spec)[:3], axis=1)
+    assert np.abs(points - points[0]).max() < 1e-8
 
 
 def test_casimir_identity_both_geometries():
@@ -142,7 +141,8 @@ def test_casimir_identity_both_geometries():
             x = _random_positions()
             spec, s = reduce_state(x, g)
             scale = max(1.0, s.Theta**2)
-            assert abs(s.casimir_residual()) <= 1e-10 * scale
+            res, _ = leaf_residual(s.geometry, s.X, s.Y, s.Z, s.Theta)
+            assert abs(res) <= 1e-10 * scale
             if spec.geometry == HYPERBOLOID:
                 assert s.Z >= 0.0
 
@@ -310,12 +310,10 @@ def test_specialized_rows_match_general_cross_product():
 
 
 def test_heading_rate_special_cases():
-    s0 = NambuState(0.4, 0.0, math.sqrt(1.0 + 0.16), 1.0, HYPERBOLOID)
-    assert alpha_rate(s0) == 0.0
-    s_zero_leaf = NambuState(0.5, 0.3, math.sqrt(0.34), 0.0, HYPERBOLOID)
-    assert alpha_rate(s_zero_leaf) == 0.0
-    with pytest.raises(DegenerateDenominator):
-        alpha_rate(NambuState(0.0, 0.0, 1.0, 1.0, HYPERBOLOID))
+    assert heading_rate(0.4, 0.0, 1.0) == 0.0  # collinear instant
+    assert heading_rate(0.5, 0.3, 0.0) == 0.0  # zero leaf
+    with np.errstate(invalid="ignore"):
+        assert math.isnan(heading_rate(0.0, 0.0, 1.0))
 
 
 def test_phase_rate_special_cases():
@@ -325,6 +323,8 @@ def test_phase_rate_special_cases():
     x = 0.7
     s2 = NambuState(x, 0.0, math.sqrt(th * th + x * x), th, HYPERBOLOID)
     assert theta2_rate(s2) == pytest.approx(-2.0 / th, abs=1e-13)
+    with pytest.raises(DegenerateDenominator):
+        theta2_rate(NambuState(0.0, 0.0, 1.0, 1.0, HYPERBOLOID))
 
 
 def _scatter_traj(rho, t_end=10.0, L=8.0):
@@ -344,7 +344,7 @@ def test_rates_match_finite_differences_of_mapped_run():
         v_lo, v_hi = lab_rhs(lo, g)[2], lab_rhs(hi, g)[2]
         da = math.atan2(v_hi[1], v_hi[0]) - math.atan2(v_lo[1], v_lo[0])
         da = (da + math.pi) % (2.0 * math.pi) - math.pi
-        assert da / (2.0 * eps) == pytest.approx(alpha_rate(s), abs=1e-6)
+        assert da / (2.0 * eps) == pytest.approx(heading_rate(s.X, s.Y, s.Theta), abs=1e-6)
 
         # position of the lone vortex relative to the (conserved) center
         w_lo = lo[2] - (lo[0] + lo[1] - lo[2])
@@ -356,18 +356,16 @@ def test_rates_match_finite_differences_of_mapped_run():
 
 def test_mapped_run_stays_on_leaf_and_matches_reduced_integration():
     traj, g = _scatter_traj(rho=2.5, t_end=12.0)
-    path = map_trajectory(traj, g)
-    assert path.geometry == HYPERBOLOID
-    for i in range(len(path.ts)):
-        s = path.state(i)
-        assert abs(s.casimir_residual()) <= 1e-8 * max(1.0, s.Theta**2)
-    assert np.abs(path.theta - path.theta[0]).max() <= 1e-8
+    spec = ReducedSystemSpec.for_circulations(g)
+    assert spec.geometry == HYPERBOLOID
+    X, Y, Z, theta = shape_map(traj.ys.reshape(-1, 3, 2), spec)
+    res, _ = leaf_residual(spec.geometry, X, Y, Z, theta)
+    assert (np.abs(res) <= 1e-8 * np.maximum(1.0, theta**2)).all()
+    assert np.abs(theta - theta[0]).max() <= 1e-8
 
-    rtraj = integrate_reduced(path.spec, path.state(0), IntegratorOptions(t_end=12.0))
-    sup = max(
-        float(np.abs(rtraj.interpolate(t) - path.points[i]).max())
-        for i, t in enumerate(path.ts)
-    )
+    s0 = NambuState(float(X[0]), float(Y[0]), float(Z[0]), float(theta[0]), spec.geometry)
+    rtraj = integrate_reduced(spec, s0, IntegratorOptions(t_end=12.0))
+    sup = float(np.abs(rtraj.interpolate(traj.ts) - np.stack([X, Y, Z], axis=1)).max())
     assert sup <= 1e-6
 
 
@@ -397,6 +395,47 @@ def test_shape_fiber_inverse():
 
 _coord = st.floats(-50.0, 50.0, allow_nan=False)
 
+# both geometries, plus every labelling of (1, Gamma, -1) and its time
+# reversal, which the reduction relabels to (1, Gamma, -1) itself
+_strengths = st.one_of(
+    st.sampled_from(([1.0, 1.0, 1.0], [1.0, 0.8, 2.0], [1.0, 1.5, -0.7])),
+    st.builds(
+        lambda gamma, order, sign: [sign * (1.0, gamma, -1.0)[k] for k in order],
+        st.floats(0.1, 3.0), st.permutations(range(3)), st.sampled_from((1.0, -1.0)),
+    ),
+)
+
+
+def _relabelled_frame(coords, g):
+    spec = ReducedSystemSpec.for_circulations(g)
+    x = np.array(coords).reshape(3, 2)[list(spec.permutation)]
+    return x, spec.circulations, to_jacobi(x, spec.circulations)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_coord, min_size=6, max_size=6), _strengths)
+def test_jacobi_frame_round_trip(coords, g):
+    x, circ, fr = _relabelled_frame(coords, g)
+    assert np.abs(from_jacobi(fr, circ) - x).max() <= 1e-12 * max(1.0, np.abs(x).max())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_coord, min_size=6, max_size=6), _strengths)
+def test_shape_point_round_trip(coords, g):
+    _, circ, fr = _relabelled_frame(coords, g)
+    n1 = fr.kappa1 * (fr.R1[0] ** 2 + fr.R1[1] ** 2)
+    n2 = abs(fr.kappa2) * (fr.R2[0] ** 2 + fr.R2[1] ** 2)
+    # the fiber inverse loses about (n1 + n2) / n1 ulps as the first pair closes
+    assume(n1 > 1e-4 * (n1 + n2))
+    s = to_nambu(fr)
+    back = nambu_to_frame(s, circ, phase=math.atan2(fr.R1[1], fr.R1[0]))
+    scale = max(1.0, *np.abs([fr.R1, fr.R2]).ravel())
+    assert np.abs(np.subtract([back.R1, back.R2], [fr.R1, fr.R2])).max() <= 1e-10 * scale
+    s2 = to_nambu(back)
+    assert (s2.X, s2.Y, s2.Z, s2.Theta) == pytest.approx(
+        (s.X, s.Y, s.Z, s.Theta), rel=0.0, abs=1e-10 * max(1.0, n1 + n2)
+    )
+
 
 @settings(max_examples=100, deadline=None)
 @given(
@@ -423,13 +462,8 @@ def test_stacked_heading_rate_equals_each_point(points, theta):
     X, Y = np.array(points).T
     with np.errstate(divide="ignore", invalid="ignore"):
         rates = heading_rate(X, Y, theta)
-    for i, (x, y) in enumerate(points):
-        s = NambuState(x, y, math.sqrt(theta * theta + x * x + y * y), theta, HYPERBOLOID)
-        if math.isfinite(rates[i]):
-            assert rates[i] == alpha_rate(s)
-        else:
-            with pytest.raises(DegenerateDenominator):
-                alpha_rate(s)
+        each = [heading_rate(x, y, theta) for x, y in points]
+    np.testing.assert_array_equal(rates, each)  # NaN where X = Y = 0
 
 
 @settings(max_examples=100, deadline=None)

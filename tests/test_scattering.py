@@ -327,6 +327,19 @@ def test_sweep_flags_budget_exhaustion():
     assert math.isnan(angle)
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_rows_keep_the_callers_step_budget(jobs):
+    # three steps cannot carry either pair from its launch to the target
+    _, rows = sweep([2.5, -1.5], opts=IntegratorOptions(max_steps=3), jobs=jobs)
+    assert [row[4] for row in rows] == ["error:StepBudgetExceeded"] * 2
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_sweep_rejects_job_counts_below_one(jobs):
+    with pytest.raises(BadSetup):
+        sweep([2.5], jobs=jobs)
+
+
 def test_run_raises_when_budget_too_small():
     with pytest.raises(NoEscape):
         run(ScatteringSetup(rho=0.0), t_max=50.0)
