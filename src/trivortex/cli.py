@@ -26,7 +26,7 @@ from .equilibria import (
     equilibria_11m1,
     equilibria_gamma,
 )
-from .errors import BadSetup, BoundaryTheta, VortexError
+from .errors import BadSetup, BoundaryTheta, DegenerateCirculationSum, VortexError
 from .integrate import IntegratorOptions, integrate
 from .reduction import (
     LeafGrid,
@@ -202,6 +202,8 @@ def cmd_simulate(ns) -> tuple[tuple, list]:
 def cmd_reduced(ns) -> tuple[tuple, list]:
     if ns.levels is not None:
         return _reduced_levels(ns)
+    if ns.theta is not None:
+        raise ValueError("--theta picks the leaf of --levels mode")
     positions, g = _launch_or_positions(ns)
     ts = _uniform_times(ns.t_end, ns.samples)
     spec, s0 = reduce_state(positions, g)
@@ -234,32 +236,32 @@ def cmd_reduced(ns) -> tuple[tuple, list]:
 
 def _family(ns):
     """Equilibrium catalog plus reduction spec for the requested strengths."""
-    if ns.gammas is not None:
-        g = list(ns.gammas)
+    if ns.gammas is None:
+        if not ns.gamma > 0.0:
+            raise ValueError("--gamma must be positive")
+        g = [1.0, ns.gamma, -1.0]
+    else:
+        g = ns.gammas
         if len(g) != 3:
             raise ValueError("--gammas needs exactly three strengths")
-        if g[0] == g[1] == g[2] and g[0] > 0:
-            return (
-                lambda th: equilibria_111(th),
-                ReducedSystemSpec.for_circulations([1.0, 1.0, 1.0]),
-            )
-        if g[0] == 1.0 and g[2] == -1.0 and g[1] > 0.0:
-            return _gamma_family(g[1])
+    try:
+        spec = ReducedSystemSpec.for_circulations(g)
+    except (ValueError, DegenerateCirculationSum):
+        spec = None
+    catalog = None
+    # the selector names the family; a relabeled or time-reversed triple
+    # is outside every catalog's labelling
+    if spec and spec.permutation == (0, 1, 2) and not spec.time_reversed:
+        catalog = {
+            "specialized-111": equilibria_111,
+            "specialized-11m1": equilibria_11m1,
+            "specialized-gamma": lambda th: equilibria_gamma(g[1], th),
+        }.get(spec.selector)
+    if catalog is None:
         raise ValueError(
             "equilibrium catalogs cover strengths (1,Gamma,-1) and (1,1,1)"
         )
-    return _gamma_family(ns.gamma)
-
-
-def _gamma_family(gamma: float):
-    if gamma <= 0.0:
-        raise ValueError("--gamma must be positive")
-    if abs(gamma - 1.0) < 1e-12:
-        catalog = equilibria_11m1
-    else:
-        def catalog(th):
-            return equilibria_gamma(gamma, th)
-    return catalog, ReducedSystemSpec.for_circulations([1.0, gamma, -1.0])
+    return catalog, spec
 
 
 def _auto_levels(h_grid: np.ndarray, anchors: list[float], count: int):
@@ -356,8 +358,6 @@ def cmd_critical(ns) -> tuple[tuple, list]:
 
 def cmd_equilibria(ns) -> tuple[tuple, list]:
     catalog, _ = _family(ns)
-    if ns.theta is None:
-        raise ValueError("equilibria needs --theta")
     rows = []
     for p in catalog(ns.theta):
         x, y, z = p.coords
@@ -376,13 +376,12 @@ def cmd_equilibria(ns) -> tuple[tuple, list]:
 
 
 def cmd_bifurcation(ns) -> tuple[tuple, list]:
-    if ns.gammas is None or len(ns.gammas) < 2:
+    if len(ns.gammas) < 2:
         raise ValueError(
             "bifurcation needs --gammas as a range start:stop:step"
         )
-    theta = ns.theta if ns.theta is not None else 1.0
     g = ns.gammas
-    return bifurcation_sweep(theta, float(g[0]), float(g[-1]), len(g))
+    return bifurcation_sweep(ns.theta, float(g[0]), float(g[-1]), len(g))
 
 
 def cmd_closed_form(ns) -> tuple[tuple, list]:
@@ -429,8 +428,6 @@ def build_parser() -> _Parser:
     def common(p, *, integrates=False):
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--seed", type=int, default=0,
-                       help="recorded in the config echo for reproducibility")
         if integrates:
             p.add_argument("--rtol", type=float, default=1e-10)
             p.add_argument("--atol", type=float, default=1e-12)
@@ -451,16 +448,17 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("reduced", help="shape-plane trajectory or level sets")
     common(p, integrates=True)
-    p.add_argument("--rho", help="impact offset (launch mode)")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--rho", help="impact offset (launch mode)")
     p.add_argument("--gamma", type=float, default=1.0)
     p.add_argument("--gammas", type=lambda s: [float(x) for x in s.split(",")],
                    help="three strengths")
-    p.add_argument("--positions", help="x1,y1,x2,y2,x3,y3 start")
+    mode.add_argument("--positions", help="x1,y1,x2,y2,x3,y3 start")
     p.add_argument("--theta", type=float, default=None,
                    help="leaf for --levels mode")
-    p.add_argument("--levels", nargs="?", const="auto", default=None,
-                   help="emit energy level sets: a count, a comma list of "
-                   "values, or bare for automatic levels")
+    mode.add_argument("--levels", nargs="?", const="auto", default=None,
+                      help="emit energy level sets: a count, a comma list of "
+                      "values, or bare for automatic levels")
     p.add_argument("--t-end", dest="t_end", type=float, default=100.0)
     p.add_argument("--samples", type=int, default=1001)
 

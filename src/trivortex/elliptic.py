@@ -259,13 +259,20 @@ class ClosedFormTerms:
     c_pi2: float
 
 
-def _boundary_check(theta: float) -> None:
+def _u_roots(theta: float):
+    """Roots -B +/- 8 sqrt(Theta + 1) of ``p4_factor``'s quartic in u = Y^2,
+    a conjugate pair below Theta = -1; raises on the regime boundaries."""
     if not math.isfinite(theta):
         raise ValueError("Theta must be finite")
     if theta in (-1.0, 0.0, 8.0):
         raise BoundaryTheta(
             f"Theta = {theta} sits on a factorization boundary"
         )
+    t = theta
+    b = t * t - 4.0 * t - 8.0
+    gap = 8.0 * math.sqrt(abs(t + 1.0))
+    s = complex(0.0, gap) if t < -1.0 else gap
+    return -b + s, -b - s
 
 
 def p4_factor(theta: float) -> QuarticFactorization:
@@ -276,25 +283,20 @@ def p4_factor(theta: float) -> QuarticFactorization:
     boundaries. The lower integration limit is 0 when no real root exists
     and a when Y = a is the outermost real root.
     """
-    _boundary_check(theta)
+    r1, r2 = _u_roots(theta)
     t = theta
-    rad = -t * t + 4.0 * t + 8.0  # -B
     if t < -1.0:
+        rad = r1.real  # -B
         s = math.sqrt((t - 8.0) * t**3)
         return QuarticFactorization(
             COMPLEX_PAIR, 0.5 * (s + rad), 0.5 * (s - rad), 0.0, t
         )
-    gap = 8.0 * math.sqrt(t + 1.0)
+    # 0.0 - r rather than -r: a vanishing root gives +0.0, not -0.0
     if t < 0.0:
-        return QuarticFactorization(
-            REAL_REAL, rad + gap, rad - gap, math.sqrt(rad + gap), t
-        )
+        return QuarticFactorization(REAL_REAL, r1, r2, math.sqrt(r1), t)
     if t < 8.0:
-        a_sq = rad + gap
-        return QuarticFactorization(
-            REAL_IMAG, a_sq, -rad + gap, math.sqrt(a_sq), t
-        )
-    return QuarticFactorization(IMAG_IMAG, -rad + gap, -rad - gap, 0.0, t)
+        return QuarticFactorization(REAL_IMAG, r1, 0.0 - r2, math.sqrt(r1), t)
+    return QuarticFactorization(IMAG_IMAG, 0.0 - r2, 0.0 - r1, 0.0, t)
 
 
 def delta_alpha_quadrature(theta: float, tol: float = 1e-11) -> float:
@@ -304,7 +306,6 @@ def delta_alpha_quadrature(theta: float, tol: float = 1e-11) -> float:
     at the lower endpoint; the transformed integrand decays like u^-4, so
     the half-infinite double exponential rule converges quickly.
     """
-    _boundary_check(theta)
     t = theta
     fac = p4_factor(t)
     c1 = t * t
@@ -354,27 +355,17 @@ def delta_alpha_closed(theta: float) -> float:
     u-roots, taken as a conjugate pair when no real roots exist. On the
     singular leaf Theta = 0 the angle vanishes identically.
     """
-    if not math.isfinite(theta):
-        raise ValueError("Theta must be finite")
     if theta == 0.0:
         return 0.0
-    if theta in (-1.0, 8.0):
-        raise BoundaryTheta(f"Theta = {theta} sits on a factorization boundary")
-    t = theta
-    b = t * t - 4.0 * t - 8.0
-    disc = 64.0 * (t + 1.0)
-    if disc >= 0.0:
-        s = math.sqrt(disc)
-        r1, r2 = -b + s, -b - s
-        u0 = max(r1, 0.0)
-        args = (u0, u0 - r1, u0 - r2)
-    else:
-        s = cmath.sqrt(complex(disc, 0.0))
-        r1 = -b + s
-        r2 = -b - s
+    r1, r2 = _u_roots(theta)
+    if isinstance(r1, complex):
         u0 = 0.0
         args = (0.0, -r1, -r2)
+    else:
+        u0 = max(r1, 0.0)
+        args = (u0, u0 - r1, u0 - r2)
 
+    t = theta
     c1 = t * t
     c2 = t * t - 8.0 * t
     total = -8.0 * c1 * _rj_core(*args, u0 + c1) / 3.0

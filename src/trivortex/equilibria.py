@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import GammaOne, NotAnEquilibrium
+from .errors import NotAnEquilibrium
 from .reduction import (
     HYPERBOLOID,
     SPHERE,
@@ -212,20 +212,20 @@ def _branches(gamma: float, theta: float) -> tuple[dict, bool]:
 
 
 def equilibria_gamma(gamma: float, theta: float) -> list[CriticalPoint]:
-    """Critical points for strengths (1, Gamma, -1), Gamma positive, != 1.
+    """Critical points for strengths (1, Gamma, -1), Gamma positive.
 
     Returns only the branches whose existence window contains (Gamma,
-    Theta). The two collinear roots merge in a saddle-node at Gamma =
-    sqrt(3)/2; exactly at the fold both are returned, flagged degenerate.
+    Theta), or ``equilibria_11m1`` where the spec finds Gamma = 1. The
+    two collinear roots merge in a saddle-node at Gamma = sqrt(3)/2;
+    exactly at the fold both are returned, flagged degenerate.
     """
     if not (gamma > 0.0) or not math.isfinite(gamma):
         raise ValueError("Gamma must be positive and finite")
-    if abs(gamma - 1.0) < 1e-12:
-        raise GammaOne("Gamma = 1 branches are poles; use equilibria_11m1")
+    spec = ReducedSystemSpec.for_circulations([1.0, gamma, -1.0])
+    if spec.selector == "specialized-11m1":
+        return equilibria_11m1(theta)
     if not math.isfinite(theta) or theta == 0.0:
         raise ValueError("Theta must be finite and nonzero")
-
-    spec = ReducedSystemSpec.for_circulations([1.0, gamma, -1.0])
     return _with_eigenvalues(spec, _branch_points(gamma, theta))
 
 
@@ -272,16 +272,12 @@ def separatrix_energy(gamma: float, theta: float) -> float | None:
         raise ValueError("Gamma must be positive and finite")
     if theta == 0.0:
         return None
-    same = abs(gamma - 1.0) < 1e-12
     if theta > 0.0 and gamma < GAMMA_SADDLE_NODE - _DISC_TOL:
         return None
-    catalog = equilibria_11m1(theta) if same else equilibria_gamma(gamma, theta)
+    spec = ReducedSystemSpec.for_circulations([1.0, gamma, -1.0])
     want = "E_tri+" if theta < 0.0 else "E_-1"
-    for p in catalog:
+    for p in equilibria_gamma(gamma, theta):
         if p.label == want:
-            spec = ReducedSystemSpec.for_circulations(
-                [1.0, 1.0, -1.0] if same else [1.0, gamma, -1.0]
-            )
             return reduced_hamiltonian(spec, p.as_state())
     return None
 

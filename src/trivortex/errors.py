@@ -90,10 +90,6 @@ class NotAnEquilibrium(VortexError):
         super().__init__(f"reduced velocity has norm {residual:.3e} at this point")
 
 
-class GammaOne(VortexError):
-    """Closed forms for the one-parameter family degenerate at ratio one."""
-
-
 class BadSetup(VortexError):
     """Scattering initial condition parameters are out of range."""
 

@@ -164,7 +164,7 @@ class _Accumulator:
         self.prev_far = math.inf
         self.escaped = False
         self.launch_heading: float | None = None
-        self.alpha_reduced = 0.0
+        self.alpha_reduced = 0.0 if spec.selector == "specialized-11m1" else None
         self.x_cross = 0
         self.y_cross = 0
         self.x_max = -math.inf
@@ -230,7 +230,7 @@ class _Accumulator:
         self.y_cross += int(np.sum(y[1:] * y[:-1] < 0.0))
         self.x_max = max(self.x_max, float(x.max()))
 
-        if self.theta != 0.0:
+        if self.alpha_reduced is not None and self.theta != 0.0:
             q = heading_rate(x, y, self.theta)
             # Simpson over each piece of a step, 4 equal subintervals
             h = ts[4::4] - ts[:-4:4]
@@ -296,12 +296,9 @@ def run_from_state(
         outcome = EXTENDED_DIRECT
     else:
         outcome = DIRECT
-    reduced: float | None = None
-    if abs(g[1] - 1.0) < 1e-12 and rspec.selector == "specialized-11m1":
-        reduced = acc.alpha_reduced
     return ScatteringResult(
         delta_alpha=acc.delta_alpha,
-        delta_alpha_reduced=reduced,
+        delta_alpha_reduced=acc.alpha_reduced,
         outcome=outcome,
         partner=acc.partner,
         partner_distance=acc.separation,

@@ -74,15 +74,15 @@ def test_output_is_byte_deterministic(tmp_path):
 
 
 def test_json_schema_and_config_echo():
+    assert run_cli(["closed-form", "--rho", "0.5", "--seed", "7"])[0] == 1
     code, text, _ = run_cli(
-        ["closed-form", "--rho", "0.5,2.5", "--format", "json", "--seed", "7"]
+        ["closed-form", "--rho", "0.5,2.5", "--format", "json"]
     )
     assert code == 0
     doc = json.loads(text)
     assert set(doc) == {"config", "columns", "rows"}
     assert doc["config"]["subcommand"] == "closed-form"
-    assert doc["config"]["seed"] == 7
-    assert not {"out", "rtol", "atol"} & set(doc["config"])
+    assert not {"out", "rtol", "atol", "seed"} & set(doc["config"])
     assert doc["columns"] == [
         "rho", "Theta", "regime", "delta_alpha_closed",
         "delta_alpha_quadrature",
@@ -170,6 +170,33 @@ def test_reduced_other_family_has_no_alpha_column():
     assert code == 0
     header, _ = parse_csv(text)
     assert header == ["t", "X", "Y", "Z", "H_red", "casimir_residual"]
+
+
+def test_reduced_modes_exclude_each_other():
+    for args in (
+        ["reduced", "--levels", "2", "--gamma", "1", "--theta", "-1", "--rho", "3"],
+        ["reduced", "--levels", "--positions", "1,0,-0.5,0.866,-0.5,-0.866",
+         "--gammas", "1,1,1", "--theta", "1"],
+        ["reduced", "--rho", "1", "--positions", "1,0,-0.5,0.866,-0.5,-0.866"],
+        ["reduced", "--rho", "1", "--theta", "5"],
+    ):
+        code, out, err = run_cli(args)
+        assert (code, out) == (1, ""), args
+        assert err
+
+
+def test_catalogs_cover_only_the_spec_families():
+    # uniform strength 2 runs (1, 1, 1)'s motion four times faster, so its
+    # table is not (1, 1, 1)'s; relabeled and time-reversed triples are not
+    # in a catalog's labelling
+    for family in (
+        ["--gammas", "2,2,2"], ["--gammas", "-1,-1,-1"], ["--gammas", "1,-1,0.4"],
+        ["--gammas", "1,1,-2"], ["--gamma", "0"],
+    ):
+        for sub in (["equilibria"], ["reduced", "--levels"]):
+            code, out, err = run_cli([*sub, *family, "--theta", "1"])
+            assert (code, out) == (1, ""), (sub, family)
+            assert "--gamma must be positive" in err or "catalogs cover" in err
 
 
 def test_levels_mode_includes_saddle_energy():

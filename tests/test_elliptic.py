@@ -178,6 +178,8 @@ def test_p4_factor_regimes_and_reference_points():
     assert f.a_sq == pytest.approx(8.0 + 8.0 * math.sqrt(5.0), rel=1e-14)
     assert f.b_sq == pytest.approx(8.0 * math.sqrt(5.0) - 8.0, rel=1e-14)
     assert f.y_min == pytest.approx(math.sqrt(f.a_sq), rel=1e-15)
+    # the root that vanishes in rounding reads +0.0, not -0.0
+    assert math.copysign(1.0, p4_factor(1e-9).b_sq) == 1.0
     for bad in (-1.0, 0.0, 8.0):
         with pytest.raises(BoundaryTheta):
             p4_factor(bad)

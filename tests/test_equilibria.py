@@ -21,7 +21,7 @@ from trivortex.equilibria import (
     jacobian,
     separatrix_energy,
 )
-from trivortex.errors import GammaOne, NotAnEquilibrium
+from trivortex.errors import NotAnEquilibrium
 from trivortex.reduction import (
     HYPERBOLOID,
     SPHERE,
@@ -160,8 +160,8 @@ def test_asymmetric_family_windows():
     }
     assert equilibria_gamma(0.4, 1.0) == []
     assert equilibria_gamma(0.5, 1.0) == []
-    with pytest.raises(GammaOne):
-        equilibria_gamma(1.0, 1.0)
+    for th in (-2.2, -1.0, 0.0, 1.0):
+        assert equilibria_gamma(1.0, th) == equilibria_11m1(th)
     with pytest.raises(ValueError):
         equilibria_gamma(-0.5, 1.0)
     with pytest.raises(ValueError):

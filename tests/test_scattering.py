@@ -13,7 +13,7 @@ from trivortex.equilibria import separatrix_energy
 from trivortex import scattering
 from trivortex.errors import BadSetup, NoEscape, StepBudgetExceeded
 from trivortex.integrate import IntegratorOptions, integrate
-from trivortex.reduction import reduce_state, reduced_hamiltonian
+from trivortex.reduction import heading_rate, reduce_state, reduced_hamiltonian
 from trivortex.scattering import (
     DIRECT,
     EXCHANGE,
@@ -217,6 +217,23 @@ def test_reduced_and_lab_angles_agree(oracle_runs):
             assert abs(res.delta_alpha - res.delta_alpha_reduced) <= 1e-3
         else:
             assert res.delta_alpha_reduced is None
+
+
+def test_heading_rate_is_summed_only_for_the_equal_pair_family(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return heading_rate(*args)
+
+    monkeypatch.setattr(scattering, "heading_rate", counting)
+    for gamma in (0.4, 2.0, 1.0):
+        calls.clear()
+        res = run(ScatteringSetup(rho=1.3, gamma=gamma))
+        if gamma == 1.0:
+            assert calls and res.delta_alpha_reduced is not None
+        else:
+            assert not calls and res.delta_alpha_reduced is None
 
 
 def test_deflection_approaches_closed_form(oracle_runs):
