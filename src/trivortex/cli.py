@@ -165,6 +165,8 @@ def _launch_or_positions(ns) -> tuple[np.ndarray, np.ndarray]:
         if g.shape != (3,):
             raise ValueError("--gammas needs exactly three strengths")
         return _parse_positions(ns.positions), g
+    if ns.gammas is not None:
+        raise ValueError("--gammas goes with --positions; --rho launches (1, --gamma, -1)")
     rhos = _parse_values(ns.rho, "--rho")
     if len(rhos) != 1:
         raise ValueError("this subcommand takes a single --rho value")

@@ -13,6 +13,7 @@ centroid ``M / sum_i g_i`` is stationary.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -25,6 +26,8 @@ FloatArray = NDArray[np.float64]
 
 # Below this pair separation the induced velocities are meaningless noise.
 COINCIDENCE_FLOOR = 1e-12
+_FLOOR2 = COINCIDENCE_FLOOR * COINCIDENCE_FLOOR
+_F64 = np.dtype(np.float64)
 
 
 def as_positions(positions: FloatArray | Sequence[Sequence[float]]) -> FloatArray:
@@ -59,7 +62,7 @@ def _pairs(x: FloatArray, guard: bool) -> tuple[FloatArray, FloatArray]:
     rho2.reshape(*rho2.shape[:-2], n * n)[..., :: n + 1] = np.inf
     if guard:
         k = int(np.argmin(rho2))
-        if rho2.flat[k] < COINCIDENCE_FLOOR * COINCIDENCE_FLOOR:
+        if rho2.flat[k] < _FLOOR2:
             i, j = divmod(k % (n * n), n)
             raise CoincidentVortices(i, j, float(np.sqrt(rho2.flat[k])))
     return d, rho2
@@ -107,10 +110,58 @@ def rhs(
 
     Returns the velocities, shaped like ``positions``.  Raises
     CoincidentVortices when any pair sits closer than COINCIDENCE_FLOOR.
+    One float64 (3, 2) state with three float64 strengths takes an
+    unrolled path that gives pair_kernel's bits.
     """
+    if (
+        type(positions) is np.ndarray and positions.dtype is _F64
+        and positions.shape == (3, 2)
+        and type(circulations) is np.ndarray and circulations.dtype is _F64
+        and circulations.shape == (3,)
+    ):
+        return _three_vortex_rhs(positions, circulations)
     x = as_positions(positions)
     g = as_circulations(circulations, x.shape[-2])
     return pair_kernel(x, g)[0]
+
+
+def _three_vortex_rhs(positions: FloatArray, circulations: FloatArray) -> FloatArray:
+    """pair_kernel(x, g)[0] for N = 3 on Python floats, with its checks.
+
+    Row i of pair_kernel sums w[i, j] * d[i, j] over j with NumPy's
+    reduction, which starts from +0.0.  The diagonal term is a signed zero
+    and changes no bit of such a sum, and two nonzero terms add alike in
+    either order, so each row is ``0.0 + a + b`` over the other two columns.
+    d[j, i] = -d[i, j] and rho2[j, i] = rho2[i, j] exactly, up to the sign
+    of a zero offset, which the +0.0 start absorbs.
+    """
+    (x0, y0), (x1, y1), (x2, y2) = positions.tolist()
+    g0, g1, g2 = circulations.tolist()
+    if not all(map(math.isfinite, (x0, y0, x1, y1, x2, y2))):
+        raise ValueError("positions contain non-finite values")
+    if not (math.isfinite(g0) and math.isfinite(g1) and math.isfinite(g2)):
+        raise ValueError("circulations contain non-finite values")
+    dx01, dy01 = x0 - x1, y0 - y1
+    dx02, dy02 = x0 - x2, y0 - y2
+    dx12, dy12 = x1 - x2, y1 - y2
+    r01 = dx01 * dx01 + dy01 * dy01
+    r02 = dx02 * dx02 + dy02 * dy02
+    r12 = dx12 * dx12 + dy12 * dy12
+    if r01 < _FLOOR2 or r02 < _FLOOR2 or r12 < _FLOOR2:
+        # the first closest pair in (0, 1), (0, 2), (1, 2) order, as argmin
+        (i, j), r = min(((0, 1), r01), ((0, 2), r02), ((1, 2), r12), key=lambda p: p[1])
+        raise CoincidentVortices(i, j, math.sqrt(r))
+    # w[i, j] = g[j] / rho2[i, j]
+    w01, w02, w12 = g1 / r01, g2 / r02, g2 / r12
+    w10, w20, w21 = g0 / r01, g0 / r02, g1 / r12
+    return np.array((
+        -(0.0 + w01 * dy01 + w02 * dy02),
+        0.0 + w01 * dx01 + w02 * dx02,
+        -(0.0 + w10 * -dy01 + w12 * dy12),
+        0.0 + w10 * -dx01 + w12 * dx12,
+        -(0.0 + w20 * -dy02 + w21 * -dy12),
+        0.0 + w20 * -dx02 + w21 * -dx12,
+    )).reshape(3, 2)
 
 
 def hamiltonian(

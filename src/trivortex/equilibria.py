@@ -217,15 +217,19 @@ def equilibria_gamma(gamma: float, theta: float) -> list[CriticalPoint]:
     Returns only the branches whose existence window contains (Gamma,
     Theta), or ``equilibria_11m1`` where the spec finds Gamma = 1. The
     two collinear roots merge in a saddle-node at Gamma = sqrt(3)/2;
-    exactly at the fold both are returned, flagged degenerate.
+    exactly at the fold both are returned, flagged degenerate.  Every
+    branch X is proportional to Theta, so at ``theta == 0`` all of them
+    meet the cone's apex and the catalog is empty, as for Gamma = 1.
     """
     if not (gamma > 0.0) or not math.isfinite(gamma):
         raise ValueError("Gamma must be positive and finite")
     spec = ReducedSystemSpec.for_circulations([1.0, gamma, -1.0])
     if spec.selector == "specialized-11m1":
         return equilibria_11m1(theta)
-    if not math.isfinite(theta) or theta == 0.0:
-        raise ValueError("Theta must be finite and nonzero")
+    if not math.isfinite(theta):
+        raise ValueError("Theta must be finite")
+    if theta == 0.0:
+        return []
     return _with_eigenvalues(spec, _branch_points(gamma, theta))
 
 

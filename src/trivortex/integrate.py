@@ -19,8 +19,8 @@ from .errors import NonFiniteRHS, StepBudgetExceeded, StepSizeUnderflow
 FloatArray = NDArray[np.float64]
 RHS = Callable[[float, FloatArray], FloatArray]
 
-# Dormand-Prince 5(4) tableau.
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0])
+# Dormand-Prince 5(4) tableau; the nodes are Python floats for the stage times.
+_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
 _A = (
     np.array([], dtype=np.float64),
     np.array([1 / 5]),
@@ -179,6 +179,7 @@ def integrate(
     err_prev = 1e-4
     k = np.empty((7, y.size))
     k[0] = f0
+    abs_y = np.abs(y)
     nsteps = 0
 
     while True:
@@ -187,31 +188,31 @@ def integrate(
             raise StepBudgetExceeded(t, opts.max_steps)
         if h < _MIN_STEP:
             raise StepSizeUnderflow(t, h)
-        if h >= abs(t_end - t):
+        last = h >= abs(t_end - t)
+        if last:
             h = abs(t_end - t)
-            t_new = t_end
-            last = True
-        else:
-            t_new = t + s * h
-            last = False
+        sh = s * h
+        t_new = t_end if last else t + sh
 
         for i in range(1, 6):
-            yi = y + s * h * (k[:i].T @ _A[i])
-            k[i] = f(t + s * h * _C[i], yi)
-        y_new = y + s * h * (k[:6].T @ _B)
+            yi = y + sh * (k[:i].T @ _A[i])
+            k[i] = f(t + sh * _C[i], yi)
+        y_new = y + sh * (k[:6].T @ _B)
         k[6] = f(t_new, y_new)
         if not (np.isfinite(k).all() and np.isfinite(y_new).all()):
             raise NonFiniteRHS(t_new)
 
-        scale = opts.atol + opts.rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err = float(np.sqrt(np.mean((h * (k.T @ _E) / scale) ** 2)))
+        abs_new = np.abs(y_new)
+        scale = opts.atol + opts.rtol * np.maximum(abs_y, abs_new)
+        e = h * (k.T @ _E) / scale
+        err = math.sqrt(float(np.add.reduce(e * e)) / e.size)
 
         if err > 1.0:
             h *= max(0.2, _SAFETY * err**-0.2)
             continue
 
-        step = Segment(t0=t, h=s * h, y0=y, coef=k.T @ _P)
-        t, y = t_new, y_new
+        step = Segment(t0=t, h=sh, y0=y, coef=k.T @ _P)
+        t, y, abs_y = t_new, y_new, abs_new
         k[0] = k[6]
         if on_step is not None:
             if on_step(step, t):

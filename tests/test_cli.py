@@ -199,6 +199,24 @@ def test_catalogs_cover_only_the_spec_families():
             assert "--gamma must be positive" in err or "catalogs cover" in err
 
 
+def test_levels_mode_on_the_singular_leaf():
+    # Theta = 0 has no isolated critical points for any Gamma
+    for gamma in ("0.4", "1", "2"):
+        code, text, err = run_cli(
+            ["reduced", "--levels", "2", "--gamma", gamma, "--theta", "0"]
+        )
+        assert (code, err) == (0, ""), gamma
+        header, rows = parse_csv(text)
+        assert header == ["level", "segment", "X", "Y", "Z"] and rows
+
+
+def test_launch_mode_rejects_gammas():
+    for sub in ("simulate", "reduced"):
+        code, out, err = run_cli([sub, "--rho", "2.5", "--gammas", "5,5,5"])
+        assert (code, out) == (1, ""), sub
+        assert "--gammas" in err
+
+
 def test_levels_mode_includes_saddle_energy():
     code, text, _ = run_cli(
         ["reduced", "--levels", "--gamma", "1", "--theta", "-1"]

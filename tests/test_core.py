@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from trivortex import core
 from trivortex.core import (
     COINCIDENCE_FLOOR,
     ConservedSet,
@@ -179,3 +181,91 @@ def test_stacked_kernel_and_invariants_equal_each_state(states, g):
             assert c.r0 is None
         else:
             assert (c.r0[0][i], c.r0[1][i]) == ci.r0
+
+
+_PAIRS = ((0, 1), (0, 2), (1, 2))
+_unit = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def _three_vortex_states(draw):
+    """(3, 2) positions at scales 1e-3 to 1e3, generic, collinear (signed
+    zero offsets) or with a near-coincident pair, and mixed-sign strengths."""
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    x = np.array([[draw(_unit), draw(_unit)] for _ in range(3)]) * scale
+    kind = draw(st.sampled_from(("generic", "collinear", "near")))
+    if kind == "collinear":
+        axis = draw(st.integers(0, 1))
+        x[:, axis] = x[0, axis]
+    elif kind == "near":
+        i, j = draw(st.sampled_from(_PAIRS))
+        gap = scale * 10.0 ** draw(st.floats(-16.0, -9.0))
+        x[j] = x[i] + gap * np.array([draw(_unit), draw(_unit)])
+    g = np.array([draw(st.floats(-3.0, 3.0)) for _ in range(3)])
+    return x, g
+
+
+def _velocities_or_coincidence(kernel, x, g):
+    try:
+        return kernel(x, g).tobytes()
+    except CoincidentVortices as exc:
+        return exc.pair, exc.distance.hex()
+
+
+@settings(max_examples=400, deadline=None)
+@given(_three_vortex_states())
+def test_three_vortex_rhs_is_pair_kernel_bit_for_bit(state):
+    x, g = state
+    want = _velocities_or_coincidence(lambda x, g: pair_kernel(x, g)[0], x, g)
+    # the stub proves rhs does not reach the stacked kernel for one state
+    with mock.patch.object(core, "pair_kernel", side_effect=AssertionError):
+        got = _velocities_or_coincidence(rhs, x, g)
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "x, pair",
+    [
+        ([(0.0, 0.0), (0.0, 0.0), (0.0, 0.0)], (0, 1)),
+        ([(0.0, 0.0), (1e-13, 0.0), (-1e-13, 0.0)], (0, 1)),
+        ([(0.0, 0.0), (2e-13, 0.0), (-1e-13, 0.0)], (0, 2)),
+        ([(0.0, 0.0), (1.0, 1.0), (1.0, 1.0 + 1e-13)], (1, 2)),
+        ([(5.0, 5.0), (1.0, 1.0), (1.0, 1.0)], (1, 2)),
+        ([(1e-13, 0.0), (0.0, 0.0), (0.0, 5e-14)], (1, 2)),
+    ],
+)
+def test_three_vortex_rhs_names_the_closest_pair(x, pair):
+    x, g = np.array(x), np.array([1.0, -0.5, 2.0])
+    with pytest.raises(CoincidentVortices) as fast:
+        rhs(x, g)
+    with pytest.raises(CoincidentVortices) as stacked:
+        pair_kernel(x, g)
+    assert fast.value.pair == stacked.value.pair == pair
+    assert fast.value.distance.hex() == stacked.value.distance.hex()
+    assert str(fast.value) == str(stacked.value)
+
+
+def _value_error(x, g):
+    with pytest.raises(ValueError) as exc:
+        rhs(x, g)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_three_vortex_rhs_rejects_what_the_validators_reject(bad):
+    x = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
+    g = np.array([1.0, 0.4, -1.0])
+    # lists take the validating path, float64 arrays the three-vortex one
+    for k in range(6):
+        xb = x.copy()
+        xb.flat[k] = bad
+        assert _value_error(xb, g) == _value_error(xb.tolist(), g.tolist())
+        assert _value_error(xb, g) == "positions contain non-finite values"
+        gb = g.copy()
+        gb[k % 3] = bad
+        # positions are checked before strengths
+        assert _value_error(xb, gb) == "positions contain non-finite values"
+        assert _value_error(x, gb) == _value_error(x.tolist(), gb.tolist())
+        assert _value_error(x, gb) == "circulations contain non-finite values"
+    for count in (2, 4):
+        assert _value_error(x, np.ones(count)) == f"expected 3 circulations, got {count}"

@@ -164,8 +164,9 @@ def test_asymmetric_family_windows():
         assert equilibria_gamma(1.0, th) == equilibria_11m1(th)
     with pytest.raises(ValueError):
         equilibria_gamma(-0.5, 1.0)
+    assert equilibria_gamma(1.5, 0.0) == []
     with pytest.raises(ValueError):
-        equilibria_gamma(1.5, 0.0)
+        equilibria_gamma(1.5, math.inf)
 
     for g in (0.9, 1.7):
         for th in (-1.0, 1.0, 2.3, -0.6):

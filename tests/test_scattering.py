@@ -1,12 +1,14 @@
 """Scattering runs: launch geometry, outcomes, sweeps, reversibility."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trivortex import core
 from trivortex.core import flat_rhs
 from trivortex.elliptic import delta_alpha_closed
 from trivortex.equilibria import separatrix_energy
@@ -265,6 +267,27 @@ def test_runs_are_deterministic():
     assert a.delta_alpha == b.delta_alpha
     assert a.escape_time == b.escape_time
     assert a.min_distance == b.min_distance
+
+
+def _result_hex(res):
+    return {k: (v.hex() if isinstance(v, float) else v) for k, v in asdict(res).items()}
+
+
+@pytest.mark.parametrize("rho,gamma", [(1.5, 2.0), (0.3, 1.0)])
+def test_run_is_bit_identical_through_pair_kernel(rho, gamma, monkeypatch):
+    # the three-vortex path of core.rhs against the stacked-state kernel
+    calls = []
+
+    def through_pair_kernel(positions, circulations):
+        calls.append(1)
+        return core.pair_kernel(positions, circulations)[0]
+
+    setup = ScatteringSetup(rho=rho, gamma=gamma)
+    fast = run(setup)
+    monkeypatch.setattr(core, "rhs", through_pair_kernel)
+    slow = run(setup)
+    assert calls
+    assert _result_hex(fast) == _result_hex(slow)
 
 
 THRESHOLD_GRID = {
