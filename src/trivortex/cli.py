@@ -212,15 +212,12 @@ def cmd_reduced(ns) -> tuple[tuple, list]:
     theta = s0.Theta
     with_alpha = spec.selector == "specialized-11m1"
     f3 = reduced_rhs_flat(spec, theta)
-
+    f, y0 = f3, [s0.X, s0.Y, s0.Z]
     if with_alpha:
         def f(t, v):
-            return np.append(f3(t, v[:3]), heading_rate(v[0], v[1], theta))
+            return (*f3(t, v[:3]), heading_rate(v[0], v[1], theta))
 
-        y0 = np.array([s0.X, s0.Y, s0.Z, 0.0])
-    else:
-        f = f3
-        y0 = np.array([s0.X, s0.Y, s0.Z])
+        y0.append(0.0)
     traj = integrate(
         f, y0, IntegratorOptions(rtol=ns.rtol, atol=ns.atol, t_end=ns.t_end)
     )

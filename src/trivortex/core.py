@@ -27,7 +27,6 @@ FloatArray = NDArray[np.float64]
 # Below this pair separation the induced velocities are meaningless noise.
 COINCIDENCE_FLOOR = 1e-12
 _FLOOR2 = COINCIDENCE_FLOOR * COINCIDENCE_FLOOR
-_F64 = np.dtype(np.float64)
 
 
 def as_positions(positions: FloatArray | Sequence[Sequence[float]]) -> FloatArray:
@@ -98,9 +97,9 @@ def invariants(x: FloatArray, g: FloatArray) -> tuple[FloatArray, FloatArray, Fl
 
 
 def rhs(
-    positions: FloatArray | Sequence[Sequence[float]],
+    positions: FloatArray | Sequence[Sequence[float]] | list[float],
     circulations: FloatArray | Sequence[float],
-) -> FloatArray:
+) -> FloatArray | list[float]:
     """Velocities of every vortex under the mutual interaction.
 
     Parameters
@@ -110,23 +109,19 @@ def rhs(
 
     Returns the velocities, shaped like ``positions``.  Raises
     CoincidentVortices when any pair sits closer than COINCIDENCE_FLOOR.
-    One float64 (3, 2) state with three float64 strengths takes an
-    unrolled path that gives pair_kernel's bits.
+    A flat list ``[x0, y0, x1, y1, x2, y2]`` of floats with three float
+    strengths, which is what ``flat_rhs`` passes, takes an unrolled path
+    and returns the flat list of velocities with pair_kernel's bits.
     """
-    if (
-        type(positions) is np.ndarray and positions.dtype is _F64
-        and positions.shape == (3, 2)
-        and type(circulations) is np.ndarray and circulations.dtype is _F64
-        and circulations.shape == (3,)
-    ):
+    if type(positions) is list and len(positions) == 6 and len(circulations) == 3:
         return _three_vortex_rhs(positions, circulations)
     x = as_positions(positions)
     g = as_circulations(circulations, x.shape[-2])
     return pair_kernel(x, g)[0]
 
 
-def _three_vortex_rhs(positions: FloatArray, circulations: FloatArray) -> FloatArray:
-    """pair_kernel(x, g)[0] for N = 3 on Python floats, with its checks.
+def _three_vortex_rhs(y: list[float], g: Sequence[float]) -> list[float]:
+    """pair_kernel(x, g)[0].ravel() for N = 3 on Python floats, with its checks.
 
     Row i of pair_kernel sums w[i, j] * d[i, j] over j with NumPy's
     reduction, which starts from +0.0.  The diagonal term is a signed zero
@@ -135,12 +130,12 @@ def _three_vortex_rhs(positions: FloatArray, circulations: FloatArray) -> FloatA
     d[j, i] = -d[i, j] and rho2[j, i] = rho2[i, j] exactly, up to the sign
     of a zero offset, which the +0.0 start absorbs.
     """
-    (x0, y0), (x1, y1), (x2, y2) = positions.tolist()
-    g0, g1, g2 = circulations.tolist()
-    if not all(map(math.isfinite, (x0, y0, x1, y1, x2, y2))):
+    if not all(map(math.isfinite, y)):
         raise ValueError("positions contain non-finite values")
-    if not (math.isfinite(g0) and math.isfinite(g1) and math.isfinite(g2)):
+    if not all(map(math.isfinite, g)):
         raise ValueError("circulations contain non-finite values")
+    x0, y0, x1, y1, x2, y2 = y
+    g0, g1, g2 = g
     dx01, dy01 = x0 - x1, y0 - y1
     dx02, dy02 = x0 - x2, y0 - y2
     dx12, dy12 = x1 - x2, y1 - y2
@@ -154,14 +149,14 @@ def _three_vortex_rhs(positions: FloatArray, circulations: FloatArray) -> FloatA
     # w[i, j] = g[j] / rho2[i, j]
     w01, w02, w12 = g1 / r01, g2 / r02, g2 / r12
     w10, w20, w21 = g0 / r01, g0 / r02, g1 / r12
-    return np.array((
+    return [
         -(0.0 + w01 * dy01 + w02 * dy02),
         0.0 + w01 * dx01 + w02 * dx02,
         -(0.0 + w10 * -dy01 + w12 * dy12),
         0.0 + w10 * -dx01 + w12 * dx12,
         -(0.0 + w20 * -dy02 + w21 * -dy12),
         0.0 + w20 * -dx02 + w21 * -dx12,
-    )).reshape(3, 2)
+    ]
 
 
 def hamiltonian(
@@ -218,14 +213,17 @@ def conserved(
 def flat_rhs(circulations: FloatArray | Sequence[float]):
     """Adapter producing a flat-vector callable for the integrator.
 
-    The state is ``[x1, y1, ..., xN, yN]``; the returned function maps
-    ``(t, y) -> dy/dt``.
+    The state is a list ``[x1, y1, ..., xN, yN]`` of floats; the returned
+    function maps ``(t, y)`` to the list of velocities.  Three vortices
+    take the unrolled path of ``rhs``, which builds no array.
     """
     g = as_circulations(circulations)
     n = g.shape[0]
+    if n == 3:
+        g3 = tuple(g.tolist())
+        return lambda t, y: rhs(y, g3)
 
-    def f(t: float, y: FloatArray) -> FloatArray:
-        v = rhs(np.asarray(y, dtype=np.float64).reshape(n, 2), g)
-        return v.reshape(2 * n)
+    def f(t: float, y: list[float]) -> list[float]:
+        return rhs(np.asarray(y, dtype=np.float64).reshape(n, 2), g).ravel().tolist()
 
     return f

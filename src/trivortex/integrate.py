@@ -17,23 +17,19 @@ from numpy.typing import NDArray
 from .errors import NonFiniteRHS, StepBudgetExceeded, StepSizeUnderflow
 
 FloatArray = NDArray[np.float64]
-RHS = Callable[[float, FloatArray], FloatArray]
+# the stepper passes a list of floats and reads any sequence of floats back
+RHS = Callable[[float, list], Sequence[float]]
 
-# Dormand-Prince 5(4) tableau; the nodes are Python floats for the stage times.
-_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
-_A = (
-    np.array([], dtype=np.float64),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-)
-_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
-# y5 - y4, including the trailing FSAL stage
-_E = np.array(
-    [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
-)
+# Dormand-Prince 5(4) tableau: nodes C, stage weights A, solution weights B
+# and the weights E of y5 - y4, E7 on the first-same-as-last stage; the
+# zero weights B2 and E2 are left out
+_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+_A21, _A31, _A32, _A41, _A42, _A43 = 1 / 5, 3 / 40, 9 / 40, 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_E1, _E3, _E4, _E5 = 71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200
+_E6, _E7 = 22 / 525, -1 / 40
 # quartic interpolant weights: y(t0+u*h) = y0 + h * (K^T P) . (u, u^2, u^3, u^4)
 _P = np.array(
     [
@@ -72,22 +68,22 @@ class IntegratorOptions:
 
 @dataclass(slots=True)
 class Segment:
-    """Accepted steps with their quartic interpolants: one step, or m steps
-    stacked along a leading axis (``t0`` and the signed step ``h`` (m,),
-    ``y0`` (m, k), ``coef`` = K^T P (m, k, 4))."""
+    """Accepted steps with their quartic interpolants: one step of floats
+    and lists, or m steps stacked along a leading axis (``t0`` and the signed
+    step ``h`` (m,), ``y0`` (m, n), the seven stage slopes ``k`` (m, 7, n))."""
 
     t0: float | FloatArray
     h: float | FloatArray
-    y0: FloatArray
-    coef: FloatArray
+    y0: Sequence[float] | FloatArray
+    k: Sequence[Sequence[float]] | FloatArray
 
     def eval(self, t) -> FloatArray:
-        """The interpolant at a time, (k,), or an array of times, (n, k);
-        stacked steps take one time each.  The fixed-order elementwise sum
-        gives a time the same bits alone or in an array."""
+        """The interpolant at a time, (n,), or an array of times, (..., n);
+        stacked steps take one time each.  K^T P is one batched product and
+        the rest elementwise, so a time gives the same bits alone or in an array."""
         u = np.asarray((t - self.t0) / self.h)[..., None]
         u2 = u * u
-        c = self.coef
+        c = np.swapaxes(self.k, -1, -2) @ _P
         return self.y0 + np.asarray(self.h)[..., None] * (
             c[..., 0] * u + c[..., 1] * u2 + c[..., 2] * (u2 * u) + c[..., 3] * (u2 * u2)
         )
@@ -107,7 +103,7 @@ class Trajectory:
     steps: Segment | None = field(repr=False, default=None)
 
     def interpolate(self, t) -> FloatArray:
-        """Dense output at a time, (k,), or an array of times, (n, k),
+        """Dense output at a time, (n,), or an array of times, (..., n),
         inside the integrated span."""
         s = self.steps
         if s is None:
@@ -121,21 +117,25 @@ class Trajectory:
         idx = np.searchsorted(self.ts[1:-1], t, side="right")
         if s.h[0] < 0.0:
             idx = len(s.h) - 1 - idx  # backward run: the last step starts at ts[0]
-        return Segment(s.t0[idx], s.h[idx], s.y0[idx], s.coef[idx]).eval(t)
+        return Segment(s.t0[idx], s.h[idx], s.y0[idx], s.k[idx]).eval(t)
+
+
+def _rms(v: list[float]) -> float:
+    # squares by multiplication: float ** raises OverflowError
+    return math.sqrt(sum([x * x for x in v]) / len(v))
 
 
 def _initial_step(
-    f: RHS, t0: float, y0: FloatArray, f0: FloatArray, s: float,
+    f: RHS, t0: float, y0: list[float], f0: Sequence[float], s: float,
     rtol: float, atol: float, span: float,
 ) -> float:
     """Hairer-style starting step size guess."""
-    scale = atol + rtol * np.abs(y0)
-    d0 = float(np.sqrt(np.mean((y0 / scale) ** 2)))
-    d1 = float(np.sqrt(np.mean((f0 / scale) ** 2)))
+    scale = [atol + rtol * abs(v) for v in y0]
+    d0 = _rms([v / c for v, c in zip(y0, scale)])
+    d1 = _rms([v / c for v, c in zip(f0, scale)])
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    y1 = y0 + h0 * s * f0
-    f1 = f(t0 + h0 * s, y1)
-    d2 = float(np.sqrt(np.mean(((f1 - f0) / scale) ** 2))) / h0
+    f1 = f(t0 + h0 * s, [v + h0 * s * d for v, d in zip(y0, f0)])
+    d2 = _rms([(b - a) / c for a, b, c in zip(f0, f1, scale)]) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -151,77 +151,79 @@ def integrate(
 ) -> Trajectory:
     """Integrate y' = f(t, y) from opts.t0 to opts.t_end.
 
-    Negative spans are allowed; samples are returned in increasing time
-    either way.  Raises StepSizeUnderflow when the controller pushes the
-    step below 1e-14, StepBudgetExceeded after ``max_steps`` step attempts,
+    ``f`` takes the state as a list of floats and returns a float sequence
+    (an ndarray is read with ``tolist()``).  Negative spans are allowed;
+    samples are returned in increasing time either way.  Raises
+    StepSizeUnderflow when the controller pushes a step short of the span's
+    end below 1e-14, StepBudgetExceeded after ``max_steps`` step attempts,
     and NonFiniteRHS when the vector field stops being finite.
 
     ``on_step(step, t)`` receives each accepted step and the time it
     reached, and ends the run by returning True.  The run then keeps only
     its first and last state, and no dense output.
     """
-    y = np.array(y0, dtype=np.float64).ravel()
-    t = float(opts.t0)
-    t_end = float(opts.t_end)
+    y = np.asarray(y0, dtype=np.float64).ravel().tolist()
+    t, t_end = float(opts.t0), float(opts.t_end)
     span = abs(t_end - t)
     s = 1.0 if t_end >= t else -1.0
 
-    f0 = np.asarray(f(t, y), dtype=np.float64)
-    if not np.isfinite(f0).all():
+    k1 = f(t, y)
+    if type(k1) is np.ndarray:
+        f, k1 = (lambda t, y, field=f: field(t, y).tolist()), k1.tolist()
+    if not all(map(math.isfinite, k1)):
         raise NonFiniteRHS(t)
 
-    ts, ys, hs, coefs = [t], [y], [], []
-
     if span == 0.0:
-        return Trajectory(np.array(ts), np.array(ys))
+        return Trajectory(np.array([t]), np.array([y]))
 
-    h = _initial_step(f, t, y, f0, s, opts.rtol, opts.atol, span)
+    rtol, atol = opts.rtol, opts.atol
+    h = _initial_step(f, t, y, k1, s, rtol, atol, span)
     err_prev = 1e-4
-    k = np.empty((7, y.size))
-    k[0] = f0
-    abs_y = np.abs(y)
+    first, taken = (t, y), []  # the run's start and, without on_step, its steps
     nsteps = 0
 
     while True:
         nsteps += 1
         if nsteps > opts.max_steps:
             raise StepBudgetExceeded(t, opts.max_steps)
-        if h < _MIN_STEP:
-            raise StepSizeUnderflow(t, h)
         last = h >= abs(t_end - t)
         if last:
             h = abs(t_end - t)
+        elif h < _MIN_STEP:
+            raise StepSizeUnderflow(t, h)
         sh = s * h
         t_new = t_end if last else t + sh
 
-        for i in range(1, 6):
-            yi = y + sh * (k[:i].T @ _A[i])
-            k[i] = f(t + sh * _C[i], yi)
-        y_new = y + sh * (k[:6].T @ _B)
-        k[6] = f(t_new, y_new)
-        if not (np.isfinite(k).all() and np.isfinite(y_new).all()):
+        k2 = f(t + sh * _C2, [v + sh * (_A21 * a) for v, a in zip(y, k1)])
+        k3 = f(t + sh * _C3, [v + sh * (_A31 * a + _A32 * b) for v, a, b in zip(y, k1, k2)])
+        k4 = f(t + sh * _C4, [v + sh * (_A41 * a + _A42 * b + _A43 * c)
+                              for v, a, b, c in zip(y, k1, k2, k3)])
+        k5 = f(t + sh * _C5, [v + sh * (_A51 * a + _A52 * b + _A53 * c + _A54 * d)
+                              for v, a, b, c, d in zip(y, k1, k2, k3, k4)])
+        k6 = f(t + sh, [v + sh * (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
+                        for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
+        y_new = [v + sh * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * g)
+                 for v, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)]
+        k7 = f(t_new, y_new)
+        if not all(map(math.isfinite, (*k2, *k3, *k4, *k5, *k6, *k7, *y_new))):
             raise NonFiniteRHS(t_new)
 
-        abs_new = np.abs(y_new)
-        scale = opts.atol + opts.rtol * np.maximum(abs_y, abs_new)
-        e = h * (k.T @ _E) / scale
-        err = math.sqrt(float(np.add.reduce(e * e)) / e.size)
+        err = _rms([
+            h * (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * g + _E7 * q)
+            / (atol + rtol * max(abs(u), abs(v)))
+            for u, v, a, c, d, e, g, q in zip(y, y_new, k1, k3, k4, k5, k6, k7)
+        ])
 
         if err > 1.0:
             h *= max(0.2, _SAFETY * err**-0.2)
             continue
 
-        step = Segment(t0=t, h=sh, y0=y, coef=k.T @ _P)
-        t, y, abs_y = t_new, y_new, abs_new
-        k[0] = k[6]
-        if on_step is not None:
-            if on_step(step, t):
-                break
-        else:
-            ts.append(t)
-            ys.append(y)
-            hs.append(step.h)
-            coefs.append(step.coef)
+        step = (t, sh, y, (k1, k2, k3, k4, k5, k6, k7))
+        t, y, k1 = t_new, y_new, k7
+        if on_step is None:
+            taken.append(step)
+        elif on_step(Segment(*step), t):
+            break
 
         if last:
             break
@@ -229,14 +231,11 @@ def integrate(
         h *= min(10.0, max(0.2, factor))
         err_prev = max(err, 1e-10)
 
-    if on_step is not None:
-        ts.append(t)
-        ys.append(y)
-    ts_arr = np.array(ts)
-    ys_arr = np.array(ys)
-    steps = None
-    if hs:
-        steps = Segment(ts_arr[:-1], np.array(hs), ys_arr[:-1], np.array(coefs))
+    ts_arr, ys_arr, steps = np.array((first[0], t)), np.array((first[1], y)), None
+    if taken:
+        t0s, hs, y0s, ks = zip(*taken)
+        ts_arr, ys_arr = np.array((*t0s, t)), np.array((*y0s, y))
+        steps = Segment(ts_arr[:-1], np.array(hs), ys_arr[:-1], np.array(ks))
     if s < 0.0:
         ts_arr = ts_arr[::-1].copy()
         ys_arr = ys_arr[::-1].copy()

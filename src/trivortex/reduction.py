@@ -443,25 +443,30 @@ def nambu_rhs(spec: ReducedSystemSpec, s: NambuState) -> tuple[float, float, flo
 
 
 def reduced_rhs_flat(spec: ReducedSystemSpec, theta: float):
-    """Flat-vector adapter for the integrator on a fixed leaf."""
+    """Flat-vector adapter for the integrator on a fixed leaf: (X, Y, Z)
+    floats in, the tuple of their rates out."""
     geometry = spec.geometry
 
-    def f(t: float, y: FloatArray) -> FloatArray:
-        hx, hz, *_ = reduced_gradients(spec, float(y[0]), float(y[2]), theta)
-        return np.array(
-            _rhs_from_gradients(geometry, float(y[0]), float(y[1]), float(y[2]), hx, hz)
-        )
+    def f(t: float, y: Sequence[float]) -> tuple[float, float, float]:
+        X, Y, Z = y
+        hx, hz, *_ = reduced_gradients(spec, X, Z, theta)
+        return _rhs_from_gradients(geometry, X, Y, Z, hx, hz)
 
     return f
 
 
 def heading_rate(X, Y, Theta: float):
     """Heading rate -4 Theta Y^2 / ((X^2 + Y^2)(Theta^2 + Y^2)) of the lone
-    vortex, (1, 1, -1) family, elementwise; zero on the Theta = 0 leaf."""
+    vortex, (1, 1, -1) family, elementwise; zero on the Theta = 0 leaf and
+    NaN where X = Y = 0.  Floats give a float."""
     if Theta == 0.0:
-        return np.zeros(np.shape(X))
+        return np.zeros(np.shape(X)) if isinstance(X, np.ndarray) else 0.0
     y2 = Y * Y
-    return np.divide(-4.0 * Theta * y2, (X * X + y2) * (Theta * Theta + y2))
+    num, den = -4.0 * Theta * y2, (X * X + y2) * (Theta * Theta + y2)
+    try:
+        return num / den
+    except ZeroDivisionError:  # floats at X = Y = 0
+        return float(np.divide(num, den))
 
 
 def theta2_rate(s: NambuState) -> float:

@@ -176,7 +176,7 @@ class _Accumulator:
         a = step.t0
         while a < t1:
             b = min(self.t_check, t1)
-            self.pieces.append((step.t0, step.h, step.y0, step.coef, a, b))
+            self.pieces.append((step.t0, step.h, step.y0, step.k, a, b))
             a = b
             if b == self.t_check:
                 if self._check(b):
@@ -186,12 +186,13 @@ class _Accumulator:
 
     def _check(self, t: float) -> bool:
         # the window's nodes: its start, then four per piece of a step
-        t0, h, y0, coef, a, b = (np.array(c) for c in zip(*self.pieces))
+        t0, h, y0, k, a, b = (np.array(c) for c in zip(*self.pieces))
         nodes_t = a[:, None] + (b - a)[:, None] * np.array([0.25, 0.5, 0.75, 1.0])
         nodes_t[:, -1] = b
-        nodes = Segment(*(np.repeat(c, 4, axis=0) for c in (t0, h, y0, coef)))
+        # each piece's step, broadcast over its four node times
+        nodes = Segment(t0[:, None], h[:, None], y0[:, None], k[:, None])
         ts = np.concatenate((self.start[0], nodes_t.ravel()))
-        ys = np.concatenate((self.start[1], nodes.eval(nodes_t.ravel())))
+        ys = np.concatenate((self.start[1], nodes.eval(nodes_t).reshape(-1, 6)))
         self.pieces = []
         self.start = (ts[-1:], ys[-1:])
         headings = self.feed(ts, ys)

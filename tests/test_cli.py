@@ -328,6 +328,21 @@ def test_time_budgets_and_tolerances_out_of_range_are_usage_errors():
         assert err
 
 
+@pytest.mark.parametrize("t_end", ["1e-15", "1e-16"])
+def test_span_below_the_minimum_step_simulates(t_end):
+    # the one clamped step is shorter than the integrator's minimum step
+    code, text, err = run_cli(
+        ["simulate", "--rho", "2.5", "--t-end", t_end, "--samples", "2"]
+    )
+    assert (code, err) == (0, "")
+    _, rows = parse_csv(text)
+    assert [float(r[0]) for r in rows] == [0.0, float(t_end)]
+    assert np.allclose(
+        [float(c) for c in rows[1][1:7]], [float(c) for c in rows[0][1:7]],
+        rtol=0.0, atol=1e-12,
+    )
+
+
 def test_step_budget_exhaustion_exits_numerical(monkeypatch):
     def exhausted(*args, **kwargs):
         raise StepBudgetExceeded(1.5, 3)

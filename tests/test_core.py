@@ -205,9 +205,14 @@ def _three_vortex_states(draw):
     return x, g
 
 
-def _velocities_or_coincidence(kernel, x, g):
+def _flat(x, g):
+    """The state as flat_rhs passes it: six floats and three strengths."""
+    return np.asarray(x, dtype=np.float64).ravel().tolist(), tuple(np.asarray(g).tolist())
+
+
+def _velocities_or_coincidence(kernel):
     try:
-        return kernel(x, g).tobytes()
+        return [v.hex() for v in kernel()]
     except CoincidentVortices as exc:
         return exc.pair, exc.distance.hex()
 
@@ -216,10 +221,10 @@ def _velocities_or_coincidence(kernel, x, g):
 @given(_three_vortex_states())
 def test_three_vortex_rhs_is_pair_kernel_bit_for_bit(state):
     x, g = state
-    want = _velocities_or_coincidence(lambda x, g: pair_kernel(x, g)[0], x, g)
-    # the stub proves rhs does not reach the stacked kernel for one state
+    want = _velocities_or_coincidence(lambda: pair_kernel(x, g)[0].ravel().tolist())
+    # the stub proves rhs does not reach the stacked kernel for a flat state
     with mock.patch.object(core, "pair_kernel", side_effect=AssertionError):
-        got = _velocities_or_coincidence(rhs, x, g)
+        got = _velocities_or_coincidence(lambda: rhs(*_flat(x, g)))
     assert got == want
 
 
@@ -237,7 +242,7 @@ def test_three_vortex_rhs_is_pair_kernel_bit_for_bit(state):
 def test_three_vortex_rhs_names_the_closest_pair(x, pair):
     x, g = np.array(x), np.array([1.0, -0.5, 2.0])
     with pytest.raises(CoincidentVortices) as fast:
-        rhs(x, g)
+        rhs(*_flat(x, g))
     with pytest.raises(CoincidentVortices) as stacked:
         pair_kernel(x, g)
     assert fast.value.pair == stacked.value.pair == pair
@@ -255,17 +260,17 @@ def _value_error(x, g):
 def test_three_vortex_rhs_rejects_what_the_validators_reject(bad):
     x = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
     g = np.array([1.0, 0.4, -1.0])
-    # lists take the validating path, float64 arrays the three-vortex one
+    # (3, 2) states take the validating path, flat lists the three-vortex one
     for k in range(6):
         xb = x.copy()
         xb.flat[k] = bad
-        assert _value_error(xb, g) == _value_error(xb.tolist(), g.tolist())
-        assert _value_error(xb, g) == "positions contain non-finite values"
+        assert _value_error(*_flat(xb, g)) == _value_error(xb, g)
+        assert _value_error(*_flat(xb, g)) == "positions contain non-finite values"
         gb = g.copy()
         gb[k % 3] = bad
         # positions are checked before strengths
-        assert _value_error(xb, gb) == "positions contain non-finite values"
-        assert _value_error(x, gb) == _value_error(x.tolist(), gb.tolist())
-        assert _value_error(x, gb) == "circulations contain non-finite values"
+        assert _value_error(*_flat(xb, gb)) == "positions contain non-finite values"
+        assert _value_error(*_flat(x, gb)) == _value_error(x.tolist(), gb.tolist())
+        assert _value_error(*_flat(x, gb)) == "circulations contain non-finite values"
     for count in (2, 4):
         assert _value_error(x, np.ones(count)) == f"expected 3 circulations, got {count}"

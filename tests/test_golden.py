@@ -7,7 +7,11 @@ squares moved from the CLI into ``trivortex.reduction``.  Text
 cells must match exactly and numeric cells to a relative 1e-9, which
 leaves integer cells no room either.  Cells at rounding level, such as the
 reduced table's casimir_residual, therefore only match while the
-arithmetic that produced them is unchanged.
+arithmetic that produced them is unchanged.  That column alone was
+re-recorded when the stepper moved from NumPy stage products to Python
+float sums, which moved 15 of its 16 cells by up to 7% while every other
+cell of every golden still matched; a separate bound keeps it at
+rounding level.
 """
 
 from __future__ import annotations
@@ -63,3 +67,12 @@ def test_table_matches_golden(name, tmp_path):
         assert len(row) == len(ref), f"row {i}"
         bad = [(c, x, y) for c, x, y in zip(want[0], row, ref) if not _same_cell(x, y)]
         assert not bad, f"row {i}: (column, got, golden) {bad}"
+
+
+def test_reduced_casimir_residual_stays_at_rounding_level(tmp_path):
+    out = tmp_path / "table.csv"
+    assert main(CASES["reduced"] + ["--out", str(out)]) == 0
+    header, *rows = _read(out)
+    col = header.index("casimir_residual")
+    assert len(rows) == 16
+    assert max(float(row[col]) for row in rows) <= 1e-10

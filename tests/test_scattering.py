@@ -275,12 +275,15 @@ def _result_hex(res):
 
 @pytest.mark.parametrize("rho,gamma", [(1.5, 2.0), (0.3, 1.0)])
 def test_run_is_bit_identical_through_pair_kernel(rho, gamma, monkeypatch):
-    # the three-vortex path of core.rhs against the stacked-state kernel
+    # the three-vortex path of core.rhs against the stacked-state kernel,
+    # both under the flat contract: six floats and three strengths in,
+    # a list of six velocities out
     calls = []
 
     def through_pair_kernel(positions, circulations):
         calls.append(1)
-        return core.pair_kernel(positions, circulations)[0]
+        x = np.array(positions).reshape(3, 2)
+        return core.pair_kernel(x, np.array(circulations))[0].ravel().tolist()
 
     setup = ScatteringSetup(rho=rho, gamma=gamma)
     fast = run(setup)
