@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import as_circulations, as_positions, flat_rhs, invariants, pair_kernel
+from .core import as_circulations, as_positions, flat_rhs, invariants, window_kernel
 from .errors import BadSetup, NoEscape, VortexError
 from .integrate import IntegratorOptions, Segment, integrate
 from .reduction import ReducedSystemSpec, heading_rate, reduce_state, shape_map
@@ -158,7 +157,8 @@ class _Accumulator:
         self.window = 25.0 * tau
         self.probe = 2.0 * tau
         self.t_check = min(self.window, t_max)
-        self.pieces: list[tuple] = []
+        # flat float buffers: each piece's t0, h, a, b, and its step's y0 and seven stages
+        self.times, self.y0s, self.ks = [], [], []
         self.start = (np.zeros(1), y0[None, :])
         self.ref = invariants(y0.reshape(3, 2), g)
         self.prev_far = math.inf
@@ -176,7 +176,10 @@ class _Accumulator:
         a = step.t0
         while a < t1:
             b = min(self.t_check, t1)
-            self.pieces.append((step.t0, step.h, step.y0, step.k, a, b))
+            self.times += (step.t0, step.h, a, b)
+            self.y0s += step.y0
+            for k in step.k:
+                self.ks += k
             a = b
             if b == self.t_check:
                 if self._check(b):
@@ -186,14 +189,16 @@ class _Accumulator:
 
     def _check(self, t: float) -> bool:
         # the window's nodes: its start, then four per piece of a step
-        t0, h, y0, k, a, b = (np.array(c) for c in zip(*self.pieces))
+        t0, h, a, b = np.fromiter(self.times, np.float64).reshape(-1, 4).T
+        y0 = np.fromiter(self.y0s, np.float64).reshape(-1, 6)
+        k = np.fromiter(self.ks, np.float64).reshape(-1, 7, 6)
         nodes_t = a[:, None] + (b - a)[:, None] * np.array([0.25, 0.5, 0.75, 1.0])
         nodes_t[:, -1] = b
         # each piece's step, broadcast over its four node times
         nodes = Segment(t0[:, None], h[:, None], y0[:, None], k[:, None])
         ts = np.concatenate((self.start[0], nodes_t.ravel()))
         ys = np.concatenate((self.start[1], nodes.eval(nodes_t).reshape(-1, 6)))
-        self.pieces = []
+        self.times, self.y0s, self.ks = [], [], []
         self.start = (ts[-1:], ys[-1:])
         headings = self.feed(ts, ys)
 
@@ -216,8 +221,7 @@ class _Accumulator:
     def feed(self, ts: FloatArray, ys: FloatArray) -> FloatArray:
         """Reduce one window of nodes, whose first node closed the previous
         window; returns their unwrapped headings."""
-        r = ys.reshape(-1, 3, 2)
-        v, rho2 = pair_kernel(r, self.g)
+        v, rho2_min, h_arr, th_arr, m_arr = window_kernel(ys, self.g)
         raw = np.arctan2(v[:, 2, 1], v[:, 2, 0])
         if self.launch_heading is None:
             self.launch_heading = self.prev_heading = float(raw[0])
@@ -226,7 +230,7 @@ class _Accumulator:
         self.delta_alpha = self.prev_heading - self.launch_heading
 
         # windows share their boundary node: each neighbouring pair is tested once
-        x, y, _, _ = shape_map(r, self.spec)
+        x, y, _, _ = shape_map(ys.reshape(-1, 3, 2), self.spec)
         self.x_cross += int(np.sum(x[1:] * x[:-1] < 0.0))
         self.y_cross += int(np.sum(y[1:] * y[:-1] < 0.0))
         self.x_max = max(self.x_max, float(x.max()))
@@ -240,9 +244,7 @@ class _Accumulator:
                 * (q[:-4:4] + 4.0 * q[1::4] + 2.0 * q[2::4] + 4.0 * q[3::4] + q[4::4])
             ))
 
-        self.min_distance = min(self.min_distance, float(np.sqrt(rho2.min())))
-
-        h_arr, th_arr, m_arr = invariants(r, self.g)
+        self.min_distance = min(self.min_distance, float(np.sqrt(rho2_min)))
         h0, th0, m0 = self.ref
         drifts = (
             float(np.max(np.abs(h_arr - h0))) / max(1.0, abs(float(h0))),
@@ -367,6 +369,8 @@ def sweep(
     ]
     workers = min(jobs, len(payloads), os.cpu_count() or 1)
     if workers > 1:
+        # imported here, so that importing the package loads no multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_row, payloads))
     else:

@@ -16,8 +16,10 @@ from trivortex.core import (
     ConservedSet,
     conserved,
     hamiltonian,
+    invariants,
     pair_kernel,
     rhs,
+    window_kernel,
 )
 from trivortex.errors import CoincidentVortices
 
@@ -274,3 +276,95 @@ def test_three_vortex_rhs_rejects_what_the_validators_reject(bad):
         assert _value_error(*_flat(x, gb)) == "circulations contain non-finite values"
     for count in (2, 4):
         assert _value_error(x, np.ones(count)) == f"expected 3 circulations, got {count}"
+
+
+_gamma = st.one_of(st.floats(-3.0, 3.0), st.sampled_from((0.0, -0.0)))
+
+
+@st.composite
+def _window_stacks(draw):
+    """(M, 3, 2) stacks of states at scales 1e-3 to 1e3: generic, collinear,
+    rounded to integers, with signed-zero coordinates, or with a
+    near-coincident pair; strengths (1, Gamma, -1) or any triple, either
+    sign and signed zeros included."""
+    states = []
+    for _ in range(draw(st.integers(1, 6))):
+        scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+        x = np.array([[draw(_unit), draw(_unit)] for _ in range(3)]) * scale
+        kind = draw(st.sampled_from(("generic", "collinear", "integer", "zeros", "near")))
+        if kind == "collinear":
+            axis = draw(st.integers(0, 1))
+            x[:, axis] = x[0, axis]
+        elif kind == "integer":
+            x = np.round(x)
+        elif kind == "zeros":
+            for i in draw(st.lists(st.integers(0, 5), max_size=4)):
+                x.flat[i] = draw(st.sampled_from((0.0, -0.0)))
+        elif kind == "near":
+            i, j = draw(st.sampled_from(_PAIRS))
+            gap = scale * 10.0 ** draw(st.floats(-16.0, -9.0))
+            x[j] = x[i] + gap * np.array([draw(_unit), draw(_unit)])
+        states.append(x)
+    g = draw(st.one_of(
+        st.tuples(st.just(1.0), _gamma, st.just(-1.0)), st.tuples(_gamma, _gamma, _gamma)
+    ))
+    return np.array(states), np.array(g)
+
+
+def _pair_kernel_and_invariants(x, g):
+    v, rho2 = pair_kernel(x, g)
+    return (v, rho2.min(), *invariants(x, g))
+
+
+def _bytes_or_coincidence(kernel):
+    try:
+        return [np.asarray(a).tobytes() for a in kernel()]
+    except CoincidentVortices as exc:
+        return exc.pair, exc.distance.hex(), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_window_stacks())
+def test_window_kernel_is_pair_kernel_and_invariants_byte_for_byte(stack):
+    x, g = stack
+    want = _bytes_or_coincidence(lambda: _pair_kernel_and_invariants(x, g))
+    assert _bytes_or_coincidence(lambda: window_kernel(x.reshape(-1, 6), g)) == want
+
+
+@pytest.mark.parametrize(
+    "states, pair",
+    [
+        # a tie inside one state goes to the earlier pair
+        ([[(0.0, 0.0), (0.0, 0.0), (0.0, 0.0)]], (0, 1)),
+        ([[(1e-13, 0.0), (-1e-13, 0.0), (0.0, 0.0)]], (0, 2)),
+        ([[(0.0, 0.0), (1.0, 1.0), (1.0, 1.0)], [(0.0, 0.0), (0.0, 0.0), (1.0, 0.0)]], (1, 2)),
+        # the first state at the global minimum, not the first one below the floor
+        ([[(0.0, 0.0), (1.0, 1.0), (1.0, 1.0 + 1e-13)], [(0.0, 0.0), (1e-14, 0.0), (5.0, 5.0)]],
+         (0, 1)),
+        ([[(0.0, 0.0), (1.0, 0.0), (1.0, 0.0)], [(5.0, 5.0), (1.0, 1.0), (5.0, 5.0)]], (1, 2)),
+        ([[(3.0, 1.0), (-3.0, 1.0), (0.0, 0.0)], [(2.0, 2.0), (1.0, 1.0), (2.0, 2.0 + 5e-14)]],
+         (0, 2)),
+    ],
+)
+def test_window_kernel_names_the_coincidence_pair_kernel_names(states, pair):
+    x, g = np.array(states), np.array([1.0, 0.5, -1.0])
+    with pytest.raises(CoincidentVortices) as columns:
+        window_kernel(x.reshape(-1, 6), g)
+    with pytest.raises(CoincidentVortices) as stacked:
+        pair_kernel(x, g)
+    assert columns.value.pair == stacked.value.pair == pair
+    assert columns.value.distance.hex() == stacked.value.distance.hex()
+    assert str(columns.value) == str(stacked.value)
+
+
+def test_window_kernel_returns_a_nan_distance_instead_of_raising():
+    # as rho2.min() and argmin do, a NaN hides a coincident pair elsewhere
+    x = np.array([
+        [(0.0, math.nan), (1.0, 0.0), (0.0, 1.0)],
+        [(0.0, 0.0), (1e-13, 0.0), (5.0, 5.0)],
+    ])
+    g = np.array([1.0, 0.5, -1.0])
+    got, want = window_kernel(x.reshape(-1, 6), g), _pair_kernel_and_invariants(x, g)
+    assert math.isnan(got[1]) and math.isnan(want[1])
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b, equal_nan=True)

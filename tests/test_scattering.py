@@ -1,21 +1,27 @@
 """Scattering runs: launch geometry, outcomes, sweeps, reversibility."""
 
+import concurrent.futures
 import math
+import os
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import trivortex
 from trivortex import core
-from trivortex.core import flat_rhs
+from trivortex.core import flat_rhs, invariants, pair_kernel
 from trivortex.elliptic import delta_alpha_closed
 from trivortex.equilibria import separatrix_energy
 from trivortex import scattering
 from trivortex.errors import BadSetup, NoEscape, StepBudgetExceeded
-from trivortex.integrate import IntegratorOptions, integrate
-from trivortex.reduction import heading_rate, reduce_state, reduced_hamiltonian
+from trivortex.integrate import IntegratorOptions, Segment, integrate
+from trivortex.reduction import heading_rate, reduce_state, reduced_hamiltonian, shape_map
 from trivortex.scattering import (
     DIRECT,
     EXCHANGE,
@@ -293,6 +299,119 @@ def test_run_is_bit_identical_through_pair_kernel(rho, gamma, monkeypatch):
     assert _result_hex(fast) == _result_hex(slow)
 
 
+class _ReferenceAccumulator(scattering._Accumulator):
+    """The window reduction as first written: pieces kept as tuples of the
+    step's lists and stacked with np.array, the pair kernel and invariants
+    formed on full (M, 3, 3, 2) pair arrays.  Test-only reference."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.pieces = []
+
+    def __call__(self, step, t1):
+        a = step.t0
+        while a < t1:
+            b = min(self.t_check, t1)
+            self.pieces.append((step.t0, step.h, step.y0, step.k, a, b))
+            a = b
+            if b == self.t_check:
+                if self._check(b):
+                    return True
+                self.t_check = min(b + self.window, self.t_max)
+        return False
+
+    def _check(self, t):
+        t0, h, y0, k, a, b = (np.array(c) for c in zip(*self.pieces))
+        nodes_t = a[:, None] + (b - a)[:, None] * np.array([0.25, 0.5, 0.75, 1.0])
+        nodes_t[:, -1] = b
+        nodes = Segment(t0[:, None], h[:, None], y0[:, None], k[:, None])
+        ts = np.concatenate((self.start[0], nodes_t.ravel()))
+        ys = np.concatenate((self.start[1], nodes.eval(nodes_t).reshape(-1, 6)))
+        self.pieces = []
+        self.start = (ts[-1:], ys[-1:])
+        headings = self.feed(ts, ys)
+
+        cur = ys[-1].reshape(3, 2)
+        self.partner, self.separation = scattering._partner(cur)
+        centroid = 0.5 * (cur[2] + cur[self.partner])
+        far = float(np.hypot(*(cur[1 - self.partner] - centroid)))
+        back = int(np.searchsorted(ts, t - self.probe))
+        target = float(self.g[1]) * self.spacing
+        self.escaped = (
+            abs(self.separation - target) <= scattering.SEPARATION_TOL * target
+            and far > scattering.ESCAPE_DISTANCE * self.spacing
+            and far > self.prev_far
+            and abs(headings[-1] - headings[back]) < scattering.HEADING_TOL
+        )
+        self.prev_far = far
+        self.escape_time = t
+        return self.escaped
+
+    def feed(self, ts, ys):
+        r = ys.reshape(-1, 3, 2)
+        v, rho2 = pair_kernel(r, self.g)
+        raw = np.arctan2(v[:, 2, 1], v[:, 2, 0])
+        if self.launch_heading is None:
+            self.launch_heading = self.prev_heading = float(raw[0])
+        headings = np.unwrap(np.concatenate(([self.prev_heading], raw)))[1:]
+        self.prev_heading = float(headings[-1])
+        self.delta_alpha = self.prev_heading - self.launch_heading
+
+        x, y, _, _ = shape_map(r, self.spec)
+        self.x_cross += int(np.sum(x[1:] * x[:-1] < 0.0))
+        self.y_cross += int(np.sum(y[1:] * y[:-1] < 0.0))
+        self.x_max = max(self.x_max, float(x.max()))
+
+        if self.alpha_reduced is not None and self.theta != 0.0:
+            q = heading_rate(x, y, self.theta)
+            h = ts[4::4] - ts[:-4:4]
+            self.alpha_reduced += float(np.sum(
+                h / 12.0
+                * (q[:-4:4] + 4.0 * q[1::4] + 2.0 * q[2::4] + 4.0 * q[3::4] + q[4::4])
+            ))
+
+        self.min_distance = min(self.min_distance, float(np.sqrt(rho2.min())))
+
+        h_arr, th_arr, m_arr = invariants(r, self.g)
+        h0, th0, m0 = self.ref
+        drifts = (
+            float(np.max(np.abs(h_arr - h0))) / max(1.0, abs(float(h0))),
+            float(np.max(np.abs(th_arr - th0))) / max(1.0, abs(float(th0))),
+            float(np.max(np.abs(m_arr - m0))),
+        )
+        self.drift = tuple(map(max, self.drift, drifts))
+        return headings
+
+
+REFERENCE_RUNS = [
+    *((dict(rho=rho, gamma=gamma), {})
+      for gamma in (0.4, 1.0, 2.0) for rho in (-1.1, 0.3, 1.5, 2.8)),
+    # a budget between check times puts the last window's end at 170
+    (dict(rho=2.5), {"t_max": 170.0}),
+    (dict(rho=1.5, spacing=0.5, launch=200.0), {}),
+]
+
+
+@pytest.mark.parametrize("setup, kw", REFERENCE_RUNS)
+def test_window_reduction_is_bit_identical_to_the_reference(setup, kw, monkeypatch):
+    fast = run(ScatteringSetup(**setup), **kw)
+    monkeypatch.setattr(scattering, "_Accumulator", _ReferenceAccumulator)
+    slow = run(ScatteringSetup(**setup), **kw)
+    assert _result_hex(fast) == _result_hex(slow)
+
+
+def _rows_hex(rows):
+    return [tuple(v.hex() if isinstance(v, float) else v for v in row) for row in rows]
+
+
+def test_sweep_rows_match_serial_reference_rows(monkeypatch):
+    rhos = [-1.1, 0.3, 2.8]
+    _, rows = sweep(rhos, gamma=2.0, jobs=2)
+    monkeypatch.setattr(scattering, "_Accumulator", _ReferenceAccumulator)
+    _, want = sweep(rhos, gamma=2.0)
+    assert all(row[4] == "" for row in want)
+    assert _rows_hex(rows) == _rows_hex(want)
+
 THRESHOLD_GRID = {
     (1.0, 100.0): [-2.0, -1.3, -0.7, 0.8, 2.0, 3.2, 4.5],
     (0.9, 100.0): [-1.4, -0.7, 0.5, 1.5, 2.1, 2.7, 3.6],
@@ -419,7 +538,7 @@ class _RecordingPool:
 
 def test_sweep_starts_no_more_workers_than_rows_or_cpus(monkeypatch):
     # rows whose launch is too close fail fast, so no run is integrated
-    monkeypatch.setattr(scattering, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(scattering.os, "cpu_count", lambda: 4)
     _RecordingPool.sizes = []
     _, rows = sweep([1.0, 2.0, 3.0], launch=5.0, jobs=100_000)
@@ -442,3 +561,18 @@ def test_sweep_flags_an_exhausted_step_budget(monkeypatch):
     _, rows = sweep([2.5])
     assert rows == [(2.5, 6.0, rows[0][2], "", "error:StepBudgetExceeded")]
     assert math.isnan(rows[0][2])
+
+
+def test_importing_the_package_loads_no_process_pool():
+    # the pool is imported only by a sweep that starts one
+    code = (
+        "import sys, trivortex, trivortex.cli; "
+        "pool = ('multiprocessing', 'concurrent.futures.process'); "
+        "print(sorted(m for m in sys.modules if m.startswith(pool)))"
+    )
+    src = str(Path(trivortex.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert out.stdout == "[]\n"
