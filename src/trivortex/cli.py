@@ -128,15 +128,7 @@ def _fmt(cell) -> str:
 
 
 def _emit(ns, columns, rows) -> None:
-    if ns.format == "csv":
-        text = _render_csv(columns, rows)
-    else:
-        payload = {
-            "config": {k: v for k, v in vars(ns).items() if k != "out"},
-            "columns": list(columns),
-            "rows": [[_cell(c) for c in row] for row in rows],
-        }
-        text = json.dumps(payload, sort_keys=True, allow_nan=False) + "\n"
+    text = _render(ns, columns, rows)
     if ns.out is None:
         sys.stdout.write(text)
     else:
@@ -144,15 +136,44 @@ def _emit(ns, columns, rows) -> None:
             f.write(text)
 
 
-def _render_csv(columns, rows) -> str:
-    import io
+# np.float64 subclasses float, so both print the same through "%.17g",
+# which spells nan, inf, -inf and -0 as format(x, ".17g") does
+_FLOATS = frozenset((float, np.float64))
 
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\r\n")
+
+def _render(ns, columns, rows) -> str:
+    """The table as text in ``ns.format``; JSON echoes the parsed options."""
+    if ns.format == "csv":
+        return _render_csv(columns, rows)
+    # json prints a finite float, np.float64 too, as the float _cell returns
+    payload = {
+        "config": {k: v for k, v in vars(ns).items() if k != "out"},
+        "columns": list(columns),
+        "rows": [
+            row if _FLOATS.issuperset(map(type, row)) and all(map(math.isfinite, row))
+            else [_cell(c) for c in row]
+            for row in rows
+        ],
+    }
+    return json.dumps(payload, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _render_csv(columns, rows) -> str:
+    """Rows of floats go through one "%.17g" template per row length; any
+    other row goes cell by cell through _fmt and the csv writer."""
+    parts = []
+    w = csv.writer(SimpleNamespace(write=parts.append), lineterminator="\r\n")
     w.writerow(columns)
+    templates = {}
     for row in rows:
-        w.writerow([_fmt(c) for c in row])
-    return buf.getvalue()
+        if _FLOATS.issuperset(map(type, row)):
+            n = len(row)
+            if n not in templates:
+                templates[n] = ",".join(["%.17g"] * n) + "\r\n"
+            parts.append(templates[n] % tuple(row))
+        else:
+            w.writerow([_fmt(c) for c in row])
+    return "".join(parts)
 
 
 def _launch_or_positions(ns) -> tuple[np.ndarray, np.ndarray]:
@@ -194,10 +215,7 @@ def cmd_simulate(ns) -> tuple[tuple, list]:
     )
     ys = traj.interpolate(ts)
     c = conserved(ys.reshape(-1, 3, 2), g)
-    rows = [
-        (float(t), *y, *inv)
-        for t, y, inv in zip(ts, ys, zip(c.H, c.Theta, *c.M))
-    ]
+    rows = np.column_stack((ts, ys, c.H, c.Theta, *c.M)).tolist()
     return SIMULATE_COLUMNS, rows
 
 
@@ -224,12 +242,13 @@ def cmd_reduced(ns) -> tuple[tuple, list]:
     columns = REDUCED_COLUMNS + (("alpha",) if with_alpha else ())
     vs = traj.interpolate(ts)
     res, scale = leaf_residual(s0.geometry, vs[:, 0], vs[:, 1], vs[:, 2], theta)
-    rows = []
-    for t, v, r in zip(ts, vs.tolist(), np.abs(res) / scale):
-        h = reduced_hamiltonian(
-            spec, SimpleNamespace(X=v[0], Y=v[1], Z=v[2], Theta=theta)
-        )
-        rows.append((float(t), *v[:3], h, float(r), *v[3:]))
+    h = [
+        reduced_hamiltonian(spec, SimpleNamespace(X=x, Y=y, Z=z, Theta=theta))
+        for x, y, z in vs[:, :3].tolist()
+    ]
+    rows = np.column_stack(
+        (ts, vs[:, :3], h, np.abs(res) / scale, vs[:, 3:])
+    ).tolist()
     return columns, rows
 
 

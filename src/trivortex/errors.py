@@ -78,10 +78,6 @@ class SingularState(VortexError):
         )
 
 
-class DegenerateDenominator(VortexError):
-    """Reconstruction or rate formula divides by a vanishing quantity."""
-
-
 class NotAnEquilibrium(VortexError):
     """Linearization requested at a point where the reduced flow is nonzero."""
 

@@ -28,11 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import FloatArray, as_circulations, as_positions
-from .errors import (
-    DegenerateCirculationSum,
-    DegenerateDenominator,
-    SingularState,
-)
+from .errors import DegenerateCirculationSum, SingularState
 from .integrate import IntegratorOptions, Trajectory, integrate
 
 SPHERE = "sphere"
@@ -467,20 +463,6 @@ def heading_rate(X, Y, Theta: float):
         return num / den
     except ZeroDivisionError:  # floats at X = Y = 0
         return float(np.divide(num, den))
-
-
-def theta2_rate(s: NambuState) -> float:
-    """Phase rate of the lone vortex's position vector, shifted by pi/2.
-
-    Valid for the (1, 1, -1) family.
-    """
-    den = (s.X**2 + s.Y**2) * (s.Theta**2 + s.Y**2)
-    if den == 0.0:
-        raise DegenerateDenominator(
-            f"phase rate undefined at X={s.X}, Y={s.Y}, Theta={s.Theta}"
-        )
-    root = float(leaf_z(s.Theta, s.X, s.Y))
-    return (2.0 * s.Y**2 * root - 2.0 * s.Theta * s.X**2) / den
 
 
 def reduce_state(

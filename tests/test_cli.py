@@ -1,14 +1,19 @@
 """Command line behavior: schemas, exit codes, determinism."""
 
+import argparse
 import contextlib
 import csv
 import io
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from test_golden import CASES
 from trivortex import cli
 from trivortex.cli import MAX_VALUES, _parse_values, main
 from trivortex.errors import StepBudgetExceeded
@@ -351,3 +356,112 @@ def test_step_budget_exhaustion_exits_numerical(monkeypatch):
     code, out, err = run_cli(["simulate", "--rho", "2.5", "--t-end", "5"])
     assert (code, out) == (2, "")
     assert "StepBudgetExceeded" in err
+
+
+def _reference_cell(cell):
+    # the per-cell JSON mapping every row went through before float rows
+    # were passed on as they are
+    if cell is None or isinstance(cell, str):
+        return cell
+    if isinstance(cell, (bool, np.bool_)):
+        return bool(cell)
+    if isinstance(cell, (int, np.integer)):
+        return int(cell)
+    x = float(cell)
+    if math.isnan(x):
+        return "nan"
+    if math.isinf(x):
+        return "inf" if x > 0 else "-inf"
+    return x
+
+
+def _reference_fmt(cell):
+    c = _reference_cell(cell)
+    if c is None:
+        return ""
+    if isinstance(c, bool):
+        return "1" if c else "0"
+    if isinstance(c, float):
+        return format(c, ".17g")
+    return str(c)
+
+
+def _reference_render(ns, columns, rows):
+    """The per-cell writer that cli._render replaced: every cell of every
+    row through _reference_cell, and in CSV through csv.writer."""
+    if ns.format == "csv":
+        buf = io.StringIO()
+        w = csv.writer(buf, lineterminator="\r\n")
+        w.writerow(columns)
+        for row in rows:
+            w.writerow([_reference_fmt(c) for c in row])
+        return buf.getvalue()
+    payload = {
+        "config": {k: v for k, v in vars(ns).items() if k != "out"},
+        "columns": list(columns),
+        "rows": [[_reference_cell(c) for c in row] for row in rows],
+    }
+    return json.dumps(payload, sort_keys=True, allow_nan=False) + "\n"
+
+
+_EDGE_FLOATS = (
+    math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+    2.2250738585072009e-308, sys.float_info.max, -sys.float_info.max, 0.1,
+)
+_FLOATS = st.one_of(
+    st.sampled_from(_EDGE_FLOATS),
+    st.floats(),
+    st.floats(min_value=-1e-300, max_value=1e-300),
+)
+_FLOAT_CELLS = st.one_of(_FLOATS, _FLOATS.map(np.float64))
+_OTHER_KINDS = (
+    st.one_of(
+        st.integers(),
+        st.integers(min_value=2**53 - 2, max_value=2**70),
+        st.sampled_from((2**53 + 1, -(2**60) - 1, 2**1024)),
+        st.integers(min_value=-(2**63), max_value=2**63 - 1).map(np.int64),
+    ),
+    st.one_of(st.booleans(), st.booleans().map(np.bool_)),
+    st.none(),
+    st.text(alphabet='a1 ,"\'-', max_size=6),
+)
+# a row holds floats only, floats and one other kind of cell, or any mix
+_ROWS = st.lists(
+    st.sampled_from(
+        (st.nothing(), *_OTHER_KINDS, st.one_of(*_OTHER_KINDS))
+    ).flatmap(lambda other: st.lists(st.one_of(_FLOAT_CELLS, other), max_size=7)),
+    max_size=8,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=_ROWS, fmt=st.sampled_from(("csv", "json")))
+def test_render_is_the_per_cell_writer_byte_for_byte(rows, fmt):
+    ns = argparse.Namespace(subcommand="test", format=fmt, out=None)
+    columns = ("a", "b,c", 'd"e')
+    assert cli._render(ns, columns, rows) == _reference_render(ns, columns, rows)
+
+
+_NONFINITE_SAMPLE = ["critical", "--gammas", "1e308,5e-324,0.4,2"]
+_TRAJECTORY_TAIL = ["--rho", "1.3", "--gamma", "0.4", "--t-end", "400",
+                    "--samples", "4001"]
+
+
+@pytest.mark.parametrize("argv", [
+    *CASES.values(),
+    ["simulate", *_TRAJECTORY_TAIL],
+    ["reduced", *_TRAJECTORY_TAIL],
+    _NONFINITE_SAMPLE,
+], ids=[*CASES, "simulate-trajectory", "reduced-trajectory", "nonfinite"])
+def test_stdout_is_the_per_cell_writers(argv, monkeypatch):
+    for fmt in ("csv", "json"):
+        code, text, _ = run_cli(argv + ["--format", fmt])
+        assert code == 0
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_render", _reference_render)
+            assert run_cli(argv + ["--format", fmt]) == (0, text, "")
+
+
+def test_nonfinite_sample_spells_out_its_cells():
+    _, text, _ = run_cli(_NONFINITE_SAMPLE)
+    assert text.splitlines()[1:3] == ["1e+308,-1,nan", "4.9406564584124654e-324,-1,"]

@@ -11,11 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from trivortex.core import flat_rhs, hamiltonian, rhs as lab_rhs
-from trivortex.errors import (
-    DegenerateCirculationSum,
-    DegenerateDenominator,
-    SingularState,
-)
+from trivortex.errors import DegenerateCirculationSum, SingularState, VortexError
 from trivortex.integrate import IntegratorOptions, integrate
 from trivortex.reduction import (
     HYPERBOLOID,
@@ -29,6 +25,7 @@ from trivortex.reduction import (
     heading_rate,
     integrate_reduced,
     leaf_residual,
+    leaf_z,
     nambu_rhs,
     nambu_to_frame,
     reduce_state,
@@ -36,7 +33,6 @@ from trivortex.reduction import (
     reduced_gradients,
     reduced_hamiltonian,
     shape_map,
-    theta2_rate,
     to_jacobi,
     to_nambu,
 )
@@ -314,6 +310,22 @@ def test_heading_rate_special_cases():
     assert heading_rate(0.5, 0.3, 0.0) == 0.0  # zero leaf
     with np.errstate(invalid="ignore"):
         assert math.isnan(heading_rate(0.0, 0.0, 1.0))
+
+
+class DegenerateDenominator(VortexError):
+    """The phase rate formula divides by a vanishing quantity."""
+
+
+def theta2_rate(s: NambuState) -> float:
+    """Phase rate of the lone vortex's position vector, shifted by pi/2, for
+    the (1, 1, -1) family; a test reference with no caller in the package."""
+    den = (s.X**2 + s.Y**2) * (s.Theta**2 + s.Y**2)
+    if den == 0.0:
+        raise DegenerateDenominator(
+            f"phase rate undefined at X={s.X}, Y={s.Y}, Theta={s.Theta}"
+        )
+    root = float(leaf_z(s.Theta, s.X, s.Y))
+    return (2.0 * s.Y**2 * root - 2.0 * s.Theta * s.X**2) / den
 
 
 def test_phase_rate_special_cases():
