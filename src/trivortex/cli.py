@@ -136,41 +136,54 @@ def _emit(ns, columns, rows) -> None:
             f.write(text)
 
 
-# np.float64 subclasses float, so both print the same through "%.17g",
-# which spells nan, inf, -inf and -0 as format(x, ".17g") does
-_FLOATS = frozenset((float, np.float64))
+# a row template's spelling per cell type: "%.17g" prints nan, inf, -inf and -0
+# as format(x, ".17g") does, and "%d" prints an int as str(n)
+_SPELLINGS = {float: "%.17g", np.float64: "%.17g", int: "%d"}
+_NUMBERS = frozenset(_SPELLINGS)
 
 
 def _render(ns, columns, rows) -> str:
     """The table as text in ``ns.format``; JSON echoes the parsed options."""
     if ns.format == "csv":
         return _render_csv(columns, rows)
-    # json prints a finite float, np.float64 too, as the float _cell returns
     payload = {
         "config": {k: v for k, v in vars(ns).items() if k != "out"},
         "columns": list(columns),
-        "rows": [
-            row if _FLOATS.issuperset(map(type, row)) and all(map(math.isfinite, row))
-            else [_cell(c) for c in row]
-            for row in rows
-        ],
+        "rows": [_json_row(row) for row in rows],
     }
     return json.dumps(payload, sort_keys=True, allow_nan=False) + "\n"
 
 
+def _json_row(row):
+    # json prints a finite float, np.float64 too, and an int as _cell
+    # returns them, so such a row goes in as it is
+    try:
+        if _NUMBERS.issuperset(map(type, row)) and all(map(math.isfinite, row)):
+            return row
+    except OverflowError:  # an int past the float range takes _cell
+        pass
+    return [_cell(c) for c in row]
+
+
 def _render_csv(columns, rows) -> str:
-    """Rows of floats go through one "%.17g" template per row length; any
-    other row goes cell by cell through _fmt and the csv writer."""
+    """A row of floats and ints goes through one template per type signature;
+    any other row goes cell by cell through _fmt and the csv writer."""
     parts = []
     w = csv.writer(SimpleNamespace(write=parts.append), lineterminator="\r\n")
     w.writerow(columns)
     templates = {}
+    key = template = None
     for row in rows:
-        if _FLOATS.issuperset(map(type, row)):
-            n = len(row)
-            if n not in templates:
-                templates[n] = ",".join(["%.17g"] * n) + "\r\n"
-            parts.append(templates[n] % tuple(row))
+        # a run of rows of one signature looks its template up once
+        sig = tuple(map(type, row))
+        if sig != key:
+            key, template = sig, templates.get(sig)
+            if template is None:
+                # "" marks a signature holding a cell no template spells
+                cells = [_SPELLINGS.get(t) for t in key]
+                template = templates[key] = "" if None in cells else ",".join(cells) + "\r\n"
+        if template:
+            parts.append(template % tuple(row))
         else:
             w.writerow([_fmt(c) for c in row])
     return "".join(parts)
@@ -338,9 +351,9 @@ def _reduced_levels(ns) -> tuple[tuple, list]:
         _auto_levels(grid.energy, anchors, count) if values is None else sorted(values)
     )
     rows = []
-    for level in levels:
+    for level, ends in zip(levels, grid.level_sets(levels)):
         # segment k runs from row 2k to row 2k + 1
-        X, Y, Z = (c.ravel().tolist() for c in grid.level_set(level))
+        X, Y, Z = (c.ravel().tolist() for c in ends)
         rows += [(level, k // 2, x, y, z) for k, (x, y, z) in enumerate(zip(X, Y, Z))]
     return LEVEL_COLUMNS, rows
 
@@ -367,11 +380,7 @@ def cmd_sweep(ns) -> tuple[tuple, list]:
 
 def cmd_critical(ns) -> tuple[tuple, list]:
     gammas = ns.gammas if ns.gammas is not None else [ns.gamma]
-    rows = []
-    for g in gammas:
-        lo, hi = critical_rho(float(g))
-        rows.append((float(g), lo, hi))
-    return CRITICAL_COLUMNS, rows
+    return CRITICAL_COLUMNS, [(float(g), *critical_rho(float(g))) for g in gammas]
 
 
 def cmd_equilibria(ns) -> tuple[tuple, list]:
@@ -380,12 +389,9 @@ def cmd_equilibria(ns) -> tuple[tuple, list]:
     for p in catalog(ns.theta):
         x, y, z = p.coords
         pair = "" if p.pair is None else f"{p.pair[0] + 1}-{p.pair[1] + 1}"
-        eig = []
-        if p.eigenvalues is None:
-            eig = [None] * 6
-        else:
-            for lam in p.eigenvalues:
-                eig.extend([lam.real, lam.imag])
+        eig = [None] * 6 if p.eigenvalues is None else [
+            part for lam in p.eigenvalues for part in (lam.real, lam.imag)
+        ]
         rows.append(
             (p.label, p.kind, p.geometry, x, y, z, p.theta, pair,
              p.degenerate, *eig)

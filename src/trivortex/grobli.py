@@ -18,12 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import FloatArray, as_circulations, as_positions
-from .errors import (
-    InvalidTriangle,
-    ZeroCirculationProduct,
-    ZeroDenominator,
-    ZeroSide,
-)
+from .errors import InvalidTriangle, ZeroCirculationProduct, ZeroDenominator, ZeroSide
 
 # heron radicand below this is treated as an inconsistent side triple
 RADICAND_TOL = -1e-14

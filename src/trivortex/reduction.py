@@ -364,15 +364,8 @@ class ReducedSystemSpec:
                 ),
             )
         return cls(
-            circulations=g,
-            kappa1=k1,
-            kappa2=k2,
-            kappa3=k3,
-            selector=selector,
-            offset=offset,
-            terms=terms,
-            permutation=perm,
-            time_reversed=rev,
+            circulations=g, kappa1=k1, kappa2=k2, kappa3=k3, selector=selector,
+            offset=offset, terms=terms, permutation=perm, time_reversed=rev,
         )
 
 
@@ -524,32 +517,38 @@ _CASE_EDGES = np.array([
 ])
 
 
-def contour_cells(h: FloatArray, level: float) -> tuple[FloatArray, FloatArray]:
-    """Marching squares on a node grid ``h``: where it crosses ``level``.
+def contour_cells(h: FloatArray, levels: Sequence[float]) -> list[tuple]:
+    """Marching squares on a node grid ``h``: where it crosses each level.
 
-    Returns the segment ends (pu, pv), each of shape (segments, 2), in
-    fractional node indices along the two grid axes.  Segments come cell
-    by cell, row-major; cells with a non-finite corner give none.  An end
-    lies on a cell edge at t = (level - fa) / (fb - fa) of the way from its
-    first corner a to its second corner b.
+    Returns one (pu, pv) per level: the segment ends, each of shape
+    (segments, 2), in fractional node indices along the two grid axes.
+    Segments come cell by cell, row-major; cells with a non-finite corner
+    give none.  An end lies on a cell edge at t = (level - fa) / (fb - fa)
+    of the way from its first corner a to its second corner b.
     """
     corners = np.stack([h[:-1, :-1], h[1:, :-1], h[1:, 1:], h[:-1, 1:]], axis=-1)
     i, j = np.nonzero(np.isfinite(corners).all(axis=-1))
     f = corners[i, j]
     centre = 0.25 * (((f[:, 0] + f[:, 1]) + f[:, 2]) + f[:, 3])
-    case = ((f > level) * _CORNER_BITS).sum(axis=1) + 16 * (centre > level)
-    edges = _CASE_EDGES[case]
-    used = edges[:, :, 0] >= 0
-    cell = np.nonzero(used)[0]
-    edges = edges[used]  # (segments, 2)
-    a, b = _EDGE_CORNERS[edges, 0], _EDGE_CORNERS[edges, 1]
-    fa = np.take_along_axis(f[cell], a, axis=1)
-    fb = np.take_along_axis(f[cell], b, axis=1)
-    t = (level - fa) / (fb - fa)
-    start, step = _CORNER_OFFSETS[a], _CORNER_OFFSETS[b] - _CORNER_OFFSETS[a]
-    pu = (i[cell, None] + start[..., 0]) + t * step[..., 0]
-    pv = (j[cell, None] + start[..., 1]) + t * step[..., 1]
-    return pu, pv
+    lo, hi = f.min(axis=1), f.max(axis=1)
+    out = []
+    for level in levels:
+        # only a cell with corners on both sides of the level has segments
+        cell = np.nonzero((lo <= level) & (hi > level))[0]
+        case = ((f[cell] > level) * _CORNER_BITS).sum(axis=1) + 16 * (centre[cell] > level)
+        edges = _CASE_EDGES[case]
+        used = edges[:, :, 0] >= 0
+        seg = cell[np.nonzero(used)[0]]
+        edges = edges[used]  # (segments, 2)
+        a, b = _EDGE_CORNERS[edges, 0], _EDGE_CORNERS[edges, 1]
+        fa = np.take_along_axis(f[seg], a, axis=1)
+        fb = np.take_along_axis(f[seg], b, axis=1)
+        t = (level - fa) / (fb - fa)
+        start, step = _CORNER_OFFSETS[a], _CORNER_OFFSETS[b] - _CORNER_OFFSETS[a]
+        pu = (i[seg, None] + start[..., 0]) + t * step[..., 0]
+        pv = (j[seg, None] + start[..., 1]) + t * step[..., 1]
+        out.append((pu, pv))
+    return out
 
 
 def _leaf_point(geometry: str, theta: float, u, v) -> tuple:
@@ -593,12 +592,12 @@ class LeafGrid:
             energy = reduced_energy(spec, X, Z, theta)
         return cls(spec.geometry, theta, us, vs, energy)
 
-    def level_set(self, level: float) -> tuple[FloatArray, FloatArray, FloatArray]:
-        """(X, Y, Z) of the segment ends where the energy crosses ``level``,
+    def level_sets(self, levels: Sequence[float]) -> list[tuple]:
+        """(X, Y, Z) of the segment ends where the energy crosses each level,
         each of shape (segments, 2), in the order of ``contour_cells``."""
-        pu, pv = contour_cells(self.energy, level)
         us, vs = self.us, self.vs
-        return _leaf_point(
-            self.geometry, self.theta,
-            us[0] + pu * (us[1] - us[0]), vs[0] + pv * (vs[1] - vs[0]),
-        )
+        return [
+            _leaf_point(self.geometry, self.theta,
+                        us[0] + pu * (us[1] - us[0]), vs[0] + pv * (vs[1] - vs[0]))
+            for pu, pv in contour_cells(self.energy, levels)
+        ]

@@ -17,6 +17,7 @@ from test_golden import CASES
 from trivortex import cli
 from trivortex.cli import MAX_VALUES, _parse_values, main
 from trivortex.errors import StepBudgetExceeded
+from trivortex.reduction import reduce_state
 
 
 def run_cli(args):
@@ -465,3 +466,64 @@ def test_stdout_is_the_per_cell_writers(argv, monkeypatch):
 def test_nonfinite_sample_spells_out_its_cells():
     _, text, _ = run_cli(_NONFINITE_SAMPLE)
     assert text.splitlines()[1:3] == ["1e+308,-1,nan", "4.9406564584124654e-324,-1,"]
+
+
+def _refuse(cell):
+    raise AssertionError(f"per-cell path reached with {cell!r}")
+
+
+@pytest.mark.parametrize("argv", [CASES["levels"], ["simulate", *_TRAJECTORY_TAIL]],
+                         ids=["levels", "simulate"])
+def test_tables_of_floats_and_ints_skip_the_per_cell_path(argv, monkeypatch):
+    for fmt in ("csv", "json"):
+        code, text, _ = run_cli(argv + ["--format", fmt])
+        assert code == 0
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_fmt", _refuse)
+            m.setattr(cli, "_cell", _refuse)
+            assert run_cli(argv + ["--format", fmt]) == (0, text, "")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_an_int_past_the_float_range_is_spelled_in_full(fmt):
+    # math.isfinite raises on such an int, which json still prints exactly
+    ns = argparse.Namespace(subcommand="test", format=fmt, out=None)
+    rows = [[0.5, 2**1024, 3], [-(2**1100), 1.5]]
+    assert cli._render(ns, ("a", "b", "c"), rows) == _reference_render(ns, ("a", "b", "c"), rows)
+
+
+@pytest.mark.parametrize("odd", ["x", None, True, np.bool_(False), np.int64(3)])
+def test_other_cells_still_take_the_per_cell_path(odd, monkeypatch):
+    monkeypatch.setattr(cli, "_fmt", _refuse)
+    monkeypatch.setattr(cli, "_cell", _refuse)
+    for fmt in ("csv", "json"):
+        ns = argparse.Namespace(subcommand="test", format=fmt, out=None)
+        cli._render(ns, ("a", "b", "c"), [[0.5, 2, 1.5]])
+        with pytest.raises(AssertionError, match="per-cell path"):
+            cli._render(ns, ("a", "b", "c"), [[0.5, 2, 1.5], [0.5, odd, 1.5]])
+
+
+# the upper outcome flip at Gamma = 1 for a launch at L = 100, and a margin
+# around it; the lab-vs-reduced gap grows as 1 / |rho - flip| near the flip
+_FLIP_AT_L100 = 3.4964118281
+_FLIP_MARGIN = 0.05
+
+
+@pytest.mark.parametrize("side", [-1.0, 1.0], ids=["below", "above"])
+def test_launches_a_margin_from_the_flip_agree_in_both_routes(side):
+    tail = ["--rho", repr(_FLIP_AT_L100 + side * _FLIP_MARGIN), "--gamma", "1",
+            "--t-end", "400", "--samples", "4001"]
+    tables = []
+    for sub in ("simulate", "reduced"):
+        code, text, _ = run_cli([sub, *tail])
+        assert code == 0
+        tables.append(np.array(parse_csv(text)[1], dtype=float)[::4])
+    lab, red = tables
+    assert np.array_equal(lab[:, 0], red[:, 0])
+    worst = 0.0
+    for lab_row, red_row in zip(lab, red):
+        _, s = reduce_state(lab_row[1:7].reshape(3, 2), [1.0, 1.0, -1.0])
+        p = np.array([s.X, s.Y, s.Z])
+        worst = max(worst, np.max(np.abs(p - red_row[1:4])) / max(1.0, np.max(np.abs(p))))
+    print(f"lab vs reduced {side * _FLIP_MARGIN:+} from the flip: {worst:.3g}")
+    assert worst < 1e-6

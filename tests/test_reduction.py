@@ -17,6 +17,7 @@ from trivortex.reduction import (
     HYPERBOLOID,
     SPHERE,
     JacobiFrame,
+    LeafGrid,
     NambuState,
     ReducedSystemSpec,
     contour_cells,
@@ -587,9 +588,11 @@ def test_contour_cells_match_the_per_cell_reference(seed):
     h[holes] = rng.choice([math.nan, math.inf, -math.inf], size=holes.sum())
     finite = h[np.isfinite(h)]
     levels = [*rng.choice(finite, size=4), *rng.uniform(-1.5, 1.5, size=3)]
+    levels = list(map(float, levels))
+    cells = contour_cells(h, levels)
+    assert len(cells) == len(levels)
     seen = np.zeros(2, dtype=int)
-    for level in map(float, levels):
-        pu, pv = contour_cells(h, level)
+    for level, (pu, pv) in zip(levels, cells):
         ref_u, ref_v = _reference_contour(h, level)
         assert pu.tobytes() == ref_u.tobytes()
         assert pv.tobytes() == ref_v.tobytes()
@@ -597,8 +600,40 @@ def test_contour_cells_match_the_per_cell_reference(seed):
     assert seen.min() > 0
 
 
+# a hyperboloid leaf at Gamma = 1 and Theta < 0, whose grid holds a
+# singular node, and the (1, 1, 1) sphere, whose poles are singular rows
+@pytest.mark.parametrize("g, theta, window", [
+    ((1.0, 1.0, -1.0), -2.0, 8.0),
+    ((1.0, 1.0, 1.0), 1.0, None),
+], ids=["hyperboloid", "sphere"])
+def test_level_sets_of_a_leaf_are_its_levels_one_by_one(g, theta, window):
+    grid = LeafGrid.sample(ReducedSystemSpec.for_circulations(g), theta, window)
+    finite = grid.energy[np.isfinite(grid.energy)]
+    assert 0 < finite.size < grid.energy.size
+    # the automatic levels: evenly between the 5th and 95th percentiles
+    levels = np.linspace(*np.percentile(finite, [5.0, 95.0]), 9).tolist()
+    together = contour_cells(grid.energy, levels)
+    sets = grid.level_sets(levels)
+    assert len(together) == len(sets) == len(levels)
+    for level, cells, ends in zip(levels, together, sets):
+        ((pu, pv),) = contour_cells(grid.energy, [level])
+        assert cells[0].shape[0] > 0
+        assert [c.tobytes() for c in cells] == [pu.tobytes(), pv.tobytes()]
+        (alone,) = grid.level_sets([level])
+        assert [c.tobytes() for c in ends] == [c.tobytes() for c in alone]
+    ref_u, ref_v = _reference_contour(grid.energy, levels[4])
+    assert [c.tobytes() for c in together[4]] == [ref_u.tobytes(), ref_v.tobytes()]
+
+
+def test_contour_cells_of_no_levels():
+    h = np.arange(20.0).reshape(4, 5)
+    assert contour_cells(h, []) == []
+    grid = LeafGrid.sample(ReducedSystemSpec.for_circulations([1.0, 1.0, 1.0]), 1.0)
+    assert grid.level_sets([]) == []
+
+
 def test_contour_cells_of_a_grid_without_finite_cells():
     h = np.full((4, 5), math.nan)
     h[0, 0] = 1.0
-    pu, pv = contour_cells(h, 0.5)
+    ((pu, pv),) = contour_cells(h, [0.5])
     assert pu.shape == pv.shape == (0, 2)
