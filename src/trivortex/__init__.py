@@ -21,7 +21,6 @@ from trivortex.grobli import (
     from_positions,
     grobli_invariant,
     grobli_rhs,
-    trilinear,
 )
 from trivortex.integrate import IntegratorOptions, Trajectory, integrate
 from trivortex.reduction import (
@@ -74,6 +73,5 @@ __all__ = [
     "run",
     "separatrix_energy",
     "sweep",
-    "trilinear",
     "__version__",
 ]

@@ -93,7 +93,7 @@ def _parse_values(text: str, what: str) -> list[float]:
 
 
 def _parse_positions(text: str) -> np.ndarray:
-    vals = [float(p) for p in text.split(",")]
+    vals = _parse_values(text, "--positions")
     if len(vals) != 6:
         raise ValueError("positions need exactly six numbers x1,y1,...,y3")
     return np.array(vals).reshape(3, 2)
@@ -400,12 +400,7 @@ def cmd_equilibria(ns) -> tuple[tuple, list]:
 
 
 def cmd_bifurcation(ns) -> tuple[tuple, list]:
-    if len(ns.gammas) < 2:
-        raise ValueError(
-            "bifurcation needs --gammas as a range start:stop:step"
-        )
-    g = ns.gammas
-    return bifurcation_sweep(ns.theta, float(g[0]), float(g[-1]), len(g))
+    return bifurcation_sweep(ns.theta, ns.gammas)
 
 
 def cmd_closed_form(ns) -> tuple[tuple, list]:
@@ -460,11 +455,17 @@ def build_parser() -> _Parser:
             p.add_argument("--d", dest="spacing", type=float, default=1.0,
                            help="length scale of the setup")
 
+    def strengths(text):
+        values = _parse_values(text, "--gammas")
+        if not values:
+            raise ValueError("--gammas needs at least one strength")
+        return values
+
     p = sub.add_parser("simulate", help="lab-frame trajectory table")
     common(p, integrates=True)
     p.add_argument("--rho", help="impact offset (launch mode)")
     p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--gammas", type=lambda s: [float(x) for x in s.split(",")],
+    p.add_argument("--gammas", type=strengths,
                    help="three strengths for --positions mode")
     p.add_argument("--positions", help="x1,y1,x2,y2,x3,y3 start (explicit mode)")
     p.add_argument("--t-end", dest="t_end", type=float, default=200.0)
@@ -475,8 +476,7 @@ def build_parser() -> _Parser:
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--rho", help="impact offset (launch mode)")
     p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--gammas", type=lambda s: [float(x) for x in s.split(",")],
-                   help="three strengths")
+    p.add_argument("--gammas", type=strengths, help="three strengths")
     mode.add_argument("--positions", help="x1,y1,x2,y2,x3,y3 start")
     p.add_argument("--theta", type=float, default=None,
                    help="leaf for --levels mode")
@@ -497,19 +497,19 @@ def build_parser() -> _Parser:
     p = sub.add_parser("critical", help="offsets bounding the exchange window")
     common(p)
     p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--gammas", type=lambda s: [float(x) for x in s.split(",")],
-                   help="several strengths at once")
+    p.add_argument("--gammas", type=strengths,
+                   help="several strengths: comma list or start:stop:step")
 
     p = sub.add_parser("equilibria", help="critical points on one leaf")
     common(p)
     p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--gammas", type=lambda s: [float(x) for x in s.split(",")])
+    p.add_argument("--gammas", type=strengths, help="three strengths")
     p.add_argument("--theta", type=float, default=None, required=True)
 
     p = sub.add_parser("bifurcation", help="branch positions over strengths")
     common(p)
-    p.add_argument("--gammas", type=lambda s: _parse_values(s, "--gammas"),
-                   help="strength grid start:stop:step", required=True)
+    p.add_argument("--gammas", type=strengths, required=True,
+                   help="strengths: value, comma list, or start:stop:step")
     p.add_argument("--theta", type=float, default=1.0)
 
     p = sub.add_parser("closed-form", help="deflection angle, two routes")

@@ -1,4 +1,4 @@
-"""Complete elliptic integrals and the closed-form deflection angle.
+"""Symmetric elliptic integrals and the closed-form deflection angle.
 
 Carlson symmetric integrals evaluated by duplication, with the principal
 value taken for negative fourth arguments and conjugate complex pairs
@@ -155,22 +155,6 @@ def carlson_rj(x: float, y: float, z: float, p: float) -> float:
     return float(_rj_core(float(x), float(y), float(z), float(p)))
 
 
-def complete_k(m: float) -> float:
-    """Complete integral of the first kind, parameter convention K(m)."""
-    if not (m < 1.0):
-        raise DomainError("parameter must satisfy m < 1")
-    return carlson_rf(0.0, 1.0 - m, 1.0)
-
-
-def complete_pi(n: float, m: float) -> float:
-    """Complete integral of the third kind; n > 1 gives the principal value."""
-    if not (m < 1.0):
-        raise DomainError("parameter must satisfy m < 1")
-    if n == 1.0:
-        raise DomainError("characteristic n = 1 is the pole")
-    return complete_k(m) + n / 3.0 * carlson_rj(0.0, 1.0 - m, 1.0, 1.0 - n)
-
-
 def _refine_levels(center, term, tmax, tol, max_level):
     # trapezoid sums in the transformed variable t on |t| <= tmax, halving
     # the spacing each level; term(t) is weight times integrand at node t
@@ -245,18 +229,6 @@ class QuarticFactorization:
     b_sq: float
     y_min: float
     theta: float
-
-
-@dataclass(frozen=True, slots=True)
-class ClosedFormTerms:
-    """Modulus, characteristics and coefficients of the large-leaf form."""
-
-    m: float
-    n1: float
-    n2: float
-    c_k: float
-    c_pi1: float
-    c_pi2: float
 
 
 def _u_roots(theta: float):
@@ -374,37 +346,3 @@ def delta_alpha_closed(theta: float) -> float:
         return float(total.real)
     return float(total)
 
-
-def closed_form_terms(theta: float) -> ClosedFormTerms:
-    """Legendre-form coefficients valid on the outer leaf Theta > 8."""
-    if not (theta > 8.0) or not math.isfinite(theta):
-        raise DomainError(
-            "the Legendre combination is only formed for Theta > 8"
-        )
-    t = theta
-    root = math.sqrt(t + 1.0)
-    a_sq = t * t - 4.0 * t + 8.0 * root - 8.0
-    b_sq = t * t - 4.0 * t - 8.0 * root - 8.0
-    m = 16.0 * root / a_sq
-    n1 = -4.0 / (t + 2.0 * root - 2.0)
-    n2 = 4.0 * (t + 2.0 * root + 2.0) / (t * t)
-    den = math.sqrt((t - 8.0) * t**3 * b_sq)
-    c_k = -4.0 * t / math.sqrt(a_sq)
-    c_pi1 = (
-        -2.0 * t**3 + 4.0 * t * t + 64.0 * t + 64.0
-        - 4.0 * root * (t * t - 8.0 * t - 16.0)
-    ) / den
-    c_pi2 = (
-        -2.0 * t**3 + 12.0 * t * t - 32.0 * t - 64.0
-        + 4.0 * (t * t - 16.0) * root
-    ) / den
-    return ClosedFormTerms(m, n1, n2, c_k, c_pi1, c_pi2)
-
-
-def delta_alpha_legendre(theta: float) -> float:
-    """Deflection on the outer leaf as a K and Pi combination."""
-    terms = closed_form_terms(theta)
-    k = complete_k(terms.m)
-    p1 = complete_pi(terms.n1, terms.m)
-    p2 = complete_pi(terms.n2, terms.m)
-    return terms.c_k * k - (terms.c_pi1 * p1 + terms.c_pi2 * p2)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -313,26 +314,28 @@ def critical_rho(gamma: float) -> tuple[float, float | None]:
 
 
 def bifurcation_sweep(
-    theta: float, gamma_start: float, gamma_stop: float, steps: int
+    theta: float, gammas: Sequence[float]
 ) -> tuple[tuple[str, ...], list[tuple]]:
-    """Sample every branch's X component over a strength-ratio range.
+    """Sample every branch's X component at the given strength ratios.
 
-    Returns a column header and one row per sampled Gamma with each
-    branch's X value (nan where the branch formula has no real value) and
-    a 0/1 existence flag. The grid must avoid the Gamma = 1 branch pole.
+    Returns a column header and one row per Gamma, in the order given,
+    with each branch's X value (nan where the branch formula has no real
+    value) and a 0/1 existence flag. Every Gamma must be positive, finite
+    and clear of the Gamma = 1 branch pole.
     """
     if theta == 0.0 or not math.isfinite(theta):
         raise ValueError("Theta must be nonzero and finite")
-    if not (0.0 < gamma_start < gamma_stop) or not math.isfinite(gamma_stop):
-        raise ValueError("need 0 < gamma_start < gamma_stop, both finite")
-    if steps < 2:
-        raise ValueError("steps must be at least 2")
-    gammas = np.linspace(gamma_start, gamma_stop, steps)
-    if np.any(np.abs(gammas - 1.0) < 1e-12):
-        raise ValueError("the grid hits the Gamma = 1 branch pole; shift it")
+    gammas = [float(g) for g in gammas]
+    if not gammas:
+        raise ValueError("need at least one Gamma")
+    for g in gammas:
+        if not (g > 0.0 and math.isfinite(g)) or abs(g - 1.0) < 1e-12:
+            raise ValueError(
+                f"Gamma = {g!r} must be positive, finite and clear of the pole at 1"
+            )
 
     rows = []
-    for g in map(float, gammas):
+    for g in gammas:
         branches, _ = _branches(g, theta)
         rows.append(
             (g, *(v for x, exists, _ in branches.values() for v in (x, int(exists))))

@@ -56,10 +56,6 @@ class ZeroCirculationProduct(VortexError):
     """An operation needs all three circulations nonzero."""
 
 
-class ZeroDenominator(VortexError):
-    """Normalization constant vanishes; use the degenerate variant instead."""
-
-
 class DegenerateCirculationSum(VortexError):
     """A circulation partial sum vanishes, so the coordinate change is undefined."""
 

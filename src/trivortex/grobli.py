@@ -1,4 +1,4 @@
-"""Pairwise-distance dynamics of three vortices, with trilinear coordinates.
+"""Pairwise-distance dynamics of three vortices.
 
 The squared side lengths of the vortex triangle close on themselves up to
 one discrete bit: the orientation ``sigma`` (+1 when the vortices appear in
@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import FloatArray, as_circulations, as_positions
-from .errors import InvalidTriangle, ZeroCirculationProduct, ZeroDenominator, ZeroSide
+from .errors import InvalidTriangle, ZeroCirculationProduct, ZeroSide
 
 # heron radicand below this is treated as an inconsistent side triple
 RADICAND_TOL = -1e-14
@@ -119,32 +119,3 @@ def grobli_invariant(
     num = g[0] * g[1] * ts.l12sq + g[1] * g[2] * ts.l23sq + g[2] * g[0] * ts.l31sq
     return float(num / (3.0 * prod))
 
-
-@dataclass(frozen=True, slots=True)
-class TrilinearPoint:
-    b1: float
-    b2: float
-    b3: float
-
-
-def trilinear(
-    ts: TriangleState,
-    circulations: FloatArray | Sequence[float],
-    L: float,
-) -> TrilinearPoint:
-    """Shape coordinates normalized by the invariant.
-
-    With L != 0 the components sum to 3.  When |L| < 1e-12 the 1/L scaling
-    is dropped and the components sum to 3*L, i.e. to 0 on the invariant's
-    zero level.
-    """
-    g = as_circulations(circulations, 3)
-    if any(gi == 0.0 for gi in g):
-        raise ZeroDenominator("trilinear coordinates need nonzero circulations")
-    scaled = abs(L) >= 1e-12
-    denom = L if scaled else 1.0
-    return TrilinearPoint(
-        b1=float(ts.l23sq / (g[0] * denom)),
-        b2=float(ts.l31sq / (g[1] * denom)),
-        b3=float(ts.l12sq / (g[2] * denom)),
-    )

@@ -302,6 +302,37 @@ def test_bifurcation_table_shape():
     assert exists[0.95] == 1
 
 
+def test_bifurcation_prints_a_comma_list_as_given():
+    code, text, _ = run_cli(["bifurcation", "--gammas", "0.8,0.9,1.3", "--theta", "1"])
+    assert code == 0
+    _, rows = parse_csv(text)
+    assert [float(r[0]) for r in rows] == [0.8, 0.9, 1.3]
+
+
+def test_bifurcation_keeps_a_descending_range_in_order():
+    code, text, _ = run_cli(["bifurcation", "--gammas", "1.3:0.8:-0.25", "--theta", "1"])
+    assert code == 0
+    _, rows = parse_csv(text)
+    assert [float(r[0]) for r in rows] == [1.3, 1.05, 0.8]
+
+
+def test_gammas_take_ranges_on_every_subcommand():
+    start = ["--positions", "-1,0.5,1,-0.5,0.2,2"]
+    for argv, as_range, as_list in (
+        (["critical"], "0.4:1.0:0.6", "0.4,1.0"),
+        (["simulate", *start, "--t-end", "1", "--samples", "3"], "0.5:1.5:0.5", "0.5,1,1.5"),
+    ):
+        code, text, _ = run_cli([*argv, "--gammas", as_range])
+        assert code == 0
+        assert run_cli([*argv, "--gammas", as_list]) == (0, text, "")
+    for argv in (["simulate", *start], ["reduced", *start], ["critical"],
+                 ["equilibria", "--theta", "1"], ["bifurcation"]):
+        for bad in (f"1:{10 * MAX_VALUES}:1", "", ","):
+            code, out, err = run_cli([*argv, "--gammas", bad])
+            assert (code, out) == (1, ""), (argv, bad)
+            assert err
+
+
 def test_oversized_inputs_are_usage_errors_before_any_work():
     # the range length is computed, never built: a billion-element range
     # fails as fast as a short one

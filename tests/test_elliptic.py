@@ -15,14 +15,9 @@ from trivortex.elliptic import (
     IMAG_IMAG,
     REAL_IMAG,
     REAL_REAL,
-    ClosedFormTerms,
     carlson_rf,
     carlson_rj,
-    closed_form_terms,
-    complete_k,
-    complete_pi,
     delta_alpha_closed,
-    delta_alpha_legendre,
     delta_alpha_quadrature,
     p4_factor,
     tanh_sinh,
@@ -100,41 +95,6 @@ def test_rj_rejects_zero_weight():
         carlson_rj(1.0, 2.0, 3.0, 0.0)
     with pytest.raises(DomainError):
         carlson_rj(-1.0, 2.0, 3.0, 1.0)
-
-
-def test_complete_k_values():
-    assert complete_k(0.0) == pytest.approx(math.pi / 2.0, rel=1e-15)
-    direct = tanh_sinh(
-        lambda t: 1.0 / math.sqrt(1.0 - 0.5 * math.sin(t) ** 2),
-        0.0,
-        math.pi / 2.0,
-        tol=1e-13,
-    )
-    assert complete_k(0.5) == pytest.approx(direct, abs=1e-10)
-    with pytest.raises(DomainError):
-        complete_k(1.0)
-
-
-def test_complete_pi_values():
-    for m in (0.0, 0.3, 0.8):
-        assert complete_pi(0.0, m) == pytest.approx(complete_k(m), rel=1e-14)
-    for n in (-0.5, 0.2, 0.9):
-        assert complete_pi(n, 0.0) == pytest.approx(
-            math.pi / (2.0 * math.sqrt(1.0 - n)), rel=1e-13
-        )
-    direct = tanh_sinh(
-        lambda t: 1.0
-        / (
-            (1.0 - 0.3 * math.sin(t) ** 2)
-            * math.sqrt(1.0 - 0.5 * math.sin(t) ** 2)
-        ),
-        0.0,
-        math.pi / 2.0,
-        tol=1e-13,
-    )
-    assert complete_pi(0.3, 0.5) == pytest.approx(direct, abs=1e-10)
-    with pytest.raises(DomainError):
-        complete_pi(1.0, 0.5)
 
 
 def test_quadrature_helper_flags_stalls():
@@ -286,21 +246,56 @@ def test_deflection_vanishes_at_large_offset():
         assert abs(delta_alpha_closed(t)) < 0.05
 
 
+def _legendre_terms(t):
+    # modulus m, characteristics n1, n2 and the coefficients of K, Pi(n1)
+    # and Pi(n2) in the deflection on the outer leaf Theta > 8
+    if not (t > 8.0) or not math.isfinite(t):
+        raise ValueError("the Legendre combination is only formed for Theta > 8")
+    root = math.sqrt(t + 1.0)
+    a_sq = t * t - 4.0 * t + 8.0 * root - 8.0
+    b_sq = t * t - 4.0 * t - 8.0 * root - 8.0
+    m = 16.0 * root / a_sq
+    n1 = -4.0 / (t + 2.0 * root - 2.0)
+    n2 = 4.0 * (t + 2.0 * root + 2.0) / (t * t)
+    den = math.sqrt((t - 8.0) * t**3 * b_sq)
+    c_k = -4.0 * t / math.sqrt(a_sq)
+    c_pi1 = (
+        -2.0 * t**3 + 4.0 * t * t + 64.0 * t + 64.0
+        - 4.0 * root * (t * t - 8.0 * t - 16.0)
+    ) / den
+    c_pi2 = (
+        -2.0 * t**3 + 12.0 * t * t - 32.0 * t - 64.0
+        + 4.0 * (t * t - 16.0) * root
+    ) / den
+    return m, n1, n2, c_k, c_pi1, c_pi2
+
+
+def _delta_alpha_legendre(t):
+    # the outer-leaf deflection as a K and Pi combination, both from SciPy;
+    # Pi(n, m) = K(m) + n/3 R_J(0, 1 - m, 1, 1 - n), principal value for n > 1
+    m, n1, n2, c_k, c_pi1, c_pi2 = _legendre_terms(t)
+    k = float(special.ellipk(m))
+
+    def pi(n):
+        return k + n / 3.0 * float(special.elliprj(0.0, 1.0 - m, 1.0, 1.0 - n))
+
+    return c_k * k - (c_pi1 * pi(n1) + c_pi2 * pi(n2))
+
+
 def test_legendre_combination_on_outer_leaf():
-    terms = closed_form_terms(10.0)
-    assert isinstance(terms, ClosedFormTerms)
+    m, n1, n2 = _legendre_terms(10.0)[:3]
     root = math.sqrt(11.0)
     a_sq = 100.0 - 40.0 + 8.0 * root - 8.0
-    assert terms.m == pytest.approx(16.0 * root / a_sq, rel=1e-14)
-    assert terms.n1 == pytest.approx(-4.0 / (8.0 + 2.0 * root), rel=1e-14)
-    assert terms.n2 == pytest.approx(4.0 * (12.0 + 2.0 * root) / 100.0, rel=1e-14)
-    assert 0.0 < terms.m < 1.0
-    assert terms.n1 < 0.0 < terms.n2 < 1.0
+    assert m == pytest.approx(16.0 * root / a_sq, rel=1e-14)
+    assert n1 == pytest.approx(-4.0 / (8.0 + 2.0 * root), rel=1e-14)
+    assert n2 == pytest.approx(4.0 * (12.0 + 2.0 * root) / 100.0, rel=1e-14)
+    assert 0.0 < m < 1.0
+    assert n1 < 0.0 < n2 < 1.0
     for t in (8.5, 9.0, 10.0, 14.0, 25.0, 80.0):
-        assert delta_alpha_legendre(t) == pytest.approx(
+        assert _delta_alpha_legendre(t) == pytest.approx(
             delta_alpha_closed(t), abs=1e-8
         )
-    with pytest.raises(DomainError):
-        closed_form_terms(5.0)
-    with pytest.raises(DomainError):
-        closed_form_terms(-2.0)
+    with pytest.raises(ValueError):
+        _legendre_terms(5.0)
+    with pytest.raises(ValueError):
+        _legendre_terms(-2.0)

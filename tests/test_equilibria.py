@@ -305,7 +305,7 @@ def test_critical_offset_solves_the_energy_equation():
 
 
 def test_bifurcation_sweep_positive_leaf():
-    cols, rows = bifurcation_sweep(1.0, 0.80, 0.998, 100)
+    cols, rows = bifurcation_sweep(1.0, np.linspace(0.80, 0.998, 100))
     assert cols[0] == "Gamma"
     idx = {c: i for i, c in enumerate(cols)}
     gap_at = {}
@@ -326,7 +326,7 @@ def test_bifurcation_sweep_positive_leaf():
 
 
 def test_bifurcation_sweep_negative_leaf():
-    cols, rows = bifurcation_sweep(-1.0, 0.5, 1.8, 67)
+    cols, rows = bifurcation_sweep(-1.0, np.linspace(0.5, 1.8, 67))
     idx = {c: i for i, c in enumerate(cols)}
     for r in rows:
         assert r[idx["S_1Gamma_X"]] == 0.0
@@ -336,11 +336,14 @@ def test_bifurcation_sweep_negative_leaf():
         assert r[idx["E_1_exists"]] == int(g > 1.0)
         assert r[idx["S_-1Gamma_exists"]] == int(g < 1.0)
     with pytest.raises(ValueError):
-        bifurcation_sweep(-1.0, 0.5, 1.5, 3)  # grid hits Gamma = 1
+        bifurcation_sweep(-1.0, np.linspace(0.5, 1.5, 3))  # grid hits Gamma = 1
     with pytest.raises(ValueError):
-        bifurcation_sweep(0.0, 0.5, 1.5, 10)
+        bifurcation_sweep(0.0, np.linspace(0.5, 1.5, 10))
     with pytest.raises(ValueError):
-        bifurcation_sweep(1.0, 0.5, 1.5, 1)
+        bifurcation_sweep(1.0, [])
+    for bad in (-0.2, 0.0, math.inf, math.nan, 1.0 + 1e-13):
+        with pytest.raises(ValueError):
+            bifurcation_sweep(1.0, [0.5, bad])
 
 
 def test_singularities_zero_only_their_own_log_argument():

@@ -1,4 +1,4 @@
-"""Triangle-coordinate oracle: areas, side dynamics, invariant, trilinears."""
+"""Triangle-coordinate oracle: areas, side dynamics, invariant."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from trivortex.core import conserved, rhs
 from trivortex.errors import (
     InvalidTriangle,
     ZeroCirculationProduct,
-    ZeroDenominator,
     ZeroSide,
 )
 from trivortex.grobli import (
@@ -22,7 +21,6 @@ from trivortex.grobli import (
     grobli_invariant,
     grobli_rhs,
     heron_area,
-    trilinear,
 )
 
 
@@ -152,36 +150,6 @@ def test_invariant_ties_to_lab_impulses():
         lhs = 3.0 * L * g[0] * g[1] * g[2]
         rhs_val = g.sum() * c.Theta - c.M[0] ** 2 - c.M[1] ** 2
         assert lhs == pytest.approx(rhs_val, rel=1e-10, abs=1e-10)
-
-
-def test_trilinear_reference_points():
-    eq = TriangleState(1.0, 1.0, 1.0, sigma=1)
-    b = trilinear(eq, [1.0, 1.0, 1.0], L=1.0)
-    assert (b.b1, b.b2, b.b3) == pytest.approx((1.0, 1.0, 1.0))
-
-    # opposite-signed family on the invariant's zero level
-    ts = TriangleState(1.0, 2.0, 3.0, sigma=1)
-    g = [1.0, 1.0, -1.0]
-    L = grobli_invariant(ts, g)
-    assert abs(L) < 1e-12
-    b0 = trilinear(ts, g, L=L)
-    assert b0.b1 + b0.b2 + b0.b3 == pytest.approx(0.0, abs=1e-10)
-
-    with pytest.raises(ZeroDenominator):
-        trilinear(eq, [1.0, 0.0, 1.0], L=1.0)
-
-
-def test_trilinear_sum_is_three_at_random_states():
-    rng = np.random.default_rng(33)
-    for _ in range(50):
-        x = rng.uniform(-2.0, 2.0, size=(3, 2))
-        g = rng.uniform(0.2, 2.0, size=3) * rng.choice([-1.0, 1.0], size=3)
-        ts = from_positions(x)
-        L = grobli_invariant(ts, g)
-        if abs(L) < 1e-6:
-            continue
-        b = trilinear(ts, g, L=L)
-        assert b.b1 + b.b2 + b.b3 == pytest.approx(3.0, abs=1e-10)
 
 
 coord = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)

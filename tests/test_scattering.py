@@ -576,3 +576,16 @@ def test_importing_the_package_loads_no_process_pool():
         env={**os.environ, "PYTHONPATH": src}, timeout=60,
     )
     assert out.stdout == "[]\n"
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in trivortex.__all__ if not hasattr(trivortex, name)]
+    assert missing == []
+    # removed from the package: no module, CLI path or benchmark called them
+    removed = {
+        "trilinear", "TrilinearPoint", "ZeroDenominator", "complete_k",
+        "complete_pi", "ClosedFormTerms", "closed_form_terms",
+        "delta_alpha_legendre",
+    }
+    assert removed.isdisjoint(trivortex.__all__)
+    assert not any(hasattr(trivortex, name) for name in removed)
