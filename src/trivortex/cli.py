@@ -77,7 +77,7 @@ def _parse_values(text: str, what: str) -> list[float]:
     text = text.strip()
     try:
         if ":" not in text:
-            return [float(p) for p in text.split(",") if p.strip()]
+            return [float(p) for p in text.split(",")]
         start, stop, step = (float(p) for p in text.split(":"))
         if step == 0.0 or not (stop - start) * step >= 0.0:
             raise ValueError
@@ -355,6 +355,8 @@ def _reduced_levels(ns) -> tuple[tuple, list]:
         # segment k runs from row 2k to row 2k + 1
         X, Y, Z = (c.ravel().tolist() for c in ends)
         rows += [(level, k // 2, x, y, z) for k, (x, y, z) in enumerate(zip(X, Y, Z))]
+        if len(rows) > MAX_VALUES:
+            raise ValueError(f"--levels table passes {MAX_VALUES} rows")
     return LEVEL_COLUMNS, rows
 
 
@@ -362,8 +364,8 @@ def cmd_sweep(ns) -> tuple[tuple, list]:
     if ns.rho is None:
         raise ValueError("sweep needs --rho (value, list, or range)")
     rhos = _parse_values(ns.rho, "--rho")
-    if ns.gamma <= 0.0:
-        raise ValueError("--gamma must be positive")
+    if not (ns.gamma > 0.0 and math.isfinite(ns.gamma)):
+        raise ValueError("--gamma must be positive and finite")
     t_max = ns.t_end if ns.t_end is not None else DEFAULT_TIME_BUDGET
     if not (t_max > 0.0 and math.isfinite(t_max)):
         raise ValueError("--t-end must be positive and finite")
@@ -456,10 +458,10 @@ def build_parser() -> _Parser:
                            help="length scale of the setup")
 
     def strengths(text):
-        values = _parse_values(text, "--gammas")
-        if not values:
-            raise ValueError("--gammas needs at least one strength")
-        return values
+        try:
+            return _parse_values(text, "--gammas")
+        except ValueError as exc:  # argparse would print only the type's name
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
     p = sub.add_parser("simulate", help="lab-frame trajectory table")
     common(p, integrates=True)

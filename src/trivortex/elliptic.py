@@ -1,10 +1,11 @@
 """Symmetric elliptic integrals and the closed-form deflection angle.
 
-Carlson symmetric integrals evaluated by duplication, with the principal
-value taken for negative fourth arguments and conjugate complex pairs
-accepted where the quartic's roots leave the real axis. A double
-exponential quadrature of the deflection integral serves as the reference
-route; the closed form must agree with it wherever both are defined.
+Carlson's symmetric integral R_J evaluated by duplication for a positive
+fourth argument, the only weight the closed form hands it, with conjugate
+complex pairs accepted where the quartic's roots leave the real axis. A
+double exponential quadrature of the deflection integral serves as the
+reference route; the closed form must agree with it wherever both are
+defined.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import BoundaryTheta, DomainError, QuadratureNonConvergence
+from .errors import BoundaryTheta, QuadratureNonConvergence
 
 COMPLEX_PAIR = "ComplexPair"
 REAL_REAL = "RealReal"
@@ -29,34 +30,8 @@ def _sqrt(w):
     return math.sqrt(w)
 
 
-def _rf_core(x, y, z):
-    a0 = (x + y + z) / 3.0
-    q = (3.0 * _RELERR) ** (-1.0 / 6.0) * max(
-        abs(a0 - x), abs(a0 - y), abs(a0 - z)
-    )
-    an, xn, yn, zn = a0, x, y, z
-    scale = 1.0
-    while scale * q >= abs(an):
-        sx, sy, sz = _sqrt(xn), _sqrt(yn), _sqrt(zn)
-        lam = sx * sy + sy * sz + sz * sx
-        an = 0.25 * (an + lam)
-        xn = 0.25 * (xn + lam)
-        yn = 0.25 * (yn + lam)
-        zn = 0.25 * (zn + lam)
-        scale *= 0.25
-    gx = (a0 - x) * scale / an
-    gy = (a0 - y) * scale / an
-    gz = -gx - gy
-    e2 = gx * gy - gz * gz
-    e3 = gx * gy * gz
-    series = 1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0
-    return series / _sqrt(an)
-
-
 def _rc_core(x, y):
-    # negative real second argument: principal value by reflection
-    if not isinstance(y, complex) and y < 0.0:
-        return _sqrt(x / (x - y)) * _rc_core(x - y, -y)
+    # y is positive, or complex inside the duplication on a conjugate pair
     a0 = (x + 2.0 * y) / 3.0
     q = (3.0 * _RELERR) ** (-0.125) * abs(a0 - x)
     an, xn, yn = a0, x, y
@@ -76,18 +51,7 @@ def _rc_core(x, y):
 
 
 def _rj_core(x, y, z, p):
-    if not isinstance(p, complex) and p < 0.0:
-        # Cauchy principal value via the shift to a positive fourth argument
-        xs = sorted((x, y, z))
-        x0, z0, y0 = xs[0], xs[1], xs[2]  # z0 is the middle value, > 0
-        q = -p
-        pn = (z0 * (x0 + y0 + q) - x0 * y0) / (z0 + q)
-        core = (pn - z0) * _rj_core(x0, y0, z0, pn) - 3.0 * _rf_core(x0, y0, z0)
-        core += 3.0 * math.sqrt(x0 * y0 * z0 / (x0 * y0 + pn * q)) * _rc_core(
-            x0 * y0 + pn * q, pn * q
-        )
-        return core / (z0 + q)
-
+    # p > 0; x, y, z nonnegative with at most one zero, or y, z a conjugate pair
     a0 = (x + y + z + 2.0 * p) / 5.0
     delta = (p - x) * (p - y) * (p - z)
     q = (0.25 * _RELERR) ** (-1.0 / 6.0) * max(
@@ -126,33 +90,6 @@ def _rj_core(x, y, z, p):
         + 3.0 * e5 / 26.0
     )
     return scale * series / (an * _sqrt(an)) + 6.0 * total
-
-
-def _check_real_triple(x, y, z):
-    vals = (x, y, z)
-    if any(not math.isfinite(v) for v in vals):
-        raise DomainError("arguments must be finite")
-    if any(v < 0.0 for v in vals):
-        raise DomainError("arguments must be nonnegative")
-    if sum(1 for v in vals if v == 0.0) > 1:
-        raise DomainError("at most one argument may vanish")
-
-
-def carlson_rf(x: float, y: float, z: float) -> float:
-    """Symmetric integral of the first kind for nonnegative arguments."""
-    _check_real_triple(x, y, z)
-    return float(_rf_core(float(x), float(y), float(z)))
-
-
-def carlson_rj(x: float, y: float, z: float, p: float) -> float:
-    """Symmetric integral of the third kind.
-
-    A negative fourth argument yields the Cauchy principal value.
-    """
-    _check_real_triple(x, y, z)
-    if p == 0.0 or not math.isfinite(p):
-        raise DomainError("fourth argument must be nonzero and finite")
-    return float(_rj_core(float(x), float(y), float(z), float(p)))
 
 
 def _refine_levels(center, term, tmax, tol, max_level):

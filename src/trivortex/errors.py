@@ -90,10 +90,6 @@ class NoEscape(VortexError):
     """Scattering run exhausted its budget before the outgoing state formed."""
 
 
-class DomainError(VortexError):
-    """Argument outside the domain of an elliptic integral or closed form."""
-
-
 class BoundaryTheta(VortexError):
     """Quartic factorization requested exactly on a regime boundary."""
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -43,18 +43,6 @@ SELECTORS = (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class JacobiFrame:
-    """Relative coordinates with their virtual strengths."""
-
-    R1: tuple[float, float]
-    R2: tuple[float, float]
-    R3: tuple[float, float]
-    kappa1: float
-    kappa2: float
-    kappa3: float
-
-
 def _kappas(g: FloatArray) -> tuple[float, float, float]:
     g12 = g[0] + g[1]
     g123 = g12 + g[2]
@@ -72,65 +60,6 @@ def _relative_vectors(x: FloatArray, g: FloatArray) -> tuple[FloatArray, FloatAr
     r1, r2, r3 = x[..., 0, :], x[..., 1, :], x[..., 2, :]
     pair_cm = (g[0] * r1 + g[1] * r2) / (g[0] + g[1])
     return r1 - r2, pair_cm - r3
-
-
-def to_jacobi(
-    positions: FloatArray | Sequence[Sequence[float]],
-    circulations: FloatArray | Sequence[float],
-) -> JacobiFrame:
-    """Relative-vector frame of a three-vortex state."""
-    x = as_positions(positions)
-    g = as_circulations(circulations, 3)
-    if x.shape != (3, 2):
-        raise ValueError(f"expected three vortices, got shape {x.shape}")
-    k3 = _kappas(g)[2]
-    R1, R2 = _relative_vectors(x, g)
-    return frame_from_vectors(R1, R2, g, (g[0] * x[0] + g[1] * x[1] + g[2] * x[2]) / k3)
-
-
-def frame_from_vectors(
-    R1: Sequence[float],
-    R2: Sequence[float],
-    circulations: FloatArray | Sequence[float],
-    R3: Sequence[float] = (0.0, 0.0),
-) -> JacobiFrame:
-    """Build a frame from relative vectors; the center defaults to origin."""
-    g = as_circulations(circulations, 3)
-    k1, k2, k3 = _kappas(g)
-    return JacobiFrame(
-        R1=(float(R1[0]), float(R1[1])),
-        R2=(float(R2[0]), float(R2[1])),
-        R3=(float(R3[0]), float(R3[1])),
-        kappa1=k1,
-        kappa2=k2,
-        kappa3=k3,
-    )
-
-
-def from_jacobi(
-    frame: JacobiFrame, circulations: FloatArray | Sequence[float]
-) -> FloatArray:
-    """Invert the frame back to lab positions."""
-    g = as_circulations(circulations, 3)
-    k1, k2, k3 = _kappas(g)
-    for got, want, name in (
-        (frame.kappa1, k1, "kappa1"),
-        (frame.kappa2, k2, "kappa2"),
-        (frame.kappa3, k3, "kappa3"),
-    ):
-        if abs(got - want) > 1e-10 * max(1.0, abs(want)):
-            raise ValueError(
-                f"frame {name}={got} inconsistent with circulations (expect {want})"
-            )
-    g12 = g[0] + g[1]
-    R1 = np.asarray(frame.R1)
-    R2 = np.asarray(frame.R2)
-    R3 = np.asarray(frame.R3)
-    pair_cm = R3 + (g[2] / k3) * R2
-    r3 = R3 - (g12 / k3) * R2
-    r1 = pair_cm + (g[1] / g12) * R1
-    r2 = pair_cm - (g[0] / g12) * R1
-    return np.stack([r1, r2, r3])
 
 
 @dataclass(frozen=True, slots=True)
@@ -183,58 +112,6 @@ def _nambu(kappa1: float, kappa2: float, R1: FloatArray, R2: FloatArray) -> tupl
     if kappa2 > 0.0:
         return X, Y, n1 - n2, n1 + n2
     return X, Y, n1 + n2, n1 - n2
-
-
-def to_nambu(frame: JacobiFrame) -> NambuState:
-    """Quadratic shape map of the scaled relative pair.
-
-    The first scaled vector is sqrt(kappa1) R1, the second sqrt(|kappa2|) R2;
-    X + iY is twice the first times the conjugate of the second, which is
-    what makes the triple rotation-invariant.
-    """
-    if frame.kappa1 <= 0.0:
-        raise ValueError(
-            f"kappa1 must be positive (got {frame.kappa1}); relabel so the "
-            "first two strengths share a sign"
-        )
-    if frame.kappa2 == 0.0:
-        raise DegenerateCirculationSum("kappa2 is zero (third strength vanishes)")
-    X, Y, Z, theta = _nambu(
-        frame.kappa1, frame.kappa2, np.array(frame.R1), np.array(frame.R2)
-    )
-    return NambuState(
-        X=float(X), Y=float(Y), Z=float(Z), Theta=float(theta),
-        geometry=SPHERE if frame.kappa2 > 0.0 else HYPERBOLOID,
-    )
-
-
-def nambu_to_frame(
-    s: NambuState, circulations: FloatArray | Sequence[float], phase: float = 0.0
-) -> JacobiFrame:
-    """One representative frame over a shape point.
-
-    The fiber is a circle; ``phase`` picks the direction of the first
-    relative vector.  Inverse of ``to_nambu`` up to that rotation.
-    """
-    g = as_circulations(circulations, 3)
-    k1, k2, _ = _kappas(g)
-    if k1 <= 0.0 or k2 == 0.0:
-        raise ValueError("shape fiber needs kappa1 > 0 and kappa2 != 0")
-    n1 = 0.5 * (s.Z + s.Theta)  # |m1|^2 in both geometries
-    if n1 < 0.0:
-        raise ValueError(f"no preimage: |m1|^2 = {n1} < 0")
-    m1 = math.sqrt(n1) * cmath.exp(1j * phase)
-    w = complex(s.X, s.Y)
-    if n1 == 0.0:
-        if abs(w) > 1e-14:
-            raise ValueError("X + iY must vanish when the first pair coincides")
-        n2 = 0.5 * (s.Theta - s.Z) if k2 > 0.0 else 0.5 * (s.Z - s.Theta)
-        m2 = math.sqrt(max(n2, 0.0)) + 0.0j
-    else:
-        m2 = (w / (2.0 * m1)).conjugate()
-    R1 = m1 / math.sqrt(k1)
-    R2 = m2 / math.sqrt(abs(k2))
-    return frame_from_vectors((R1.real, R1.imag), (R2.real, R2.imag), g)
 
 
 @dataclass(frozen=True, slots=True)
@@ -492,6 +369,34 @@ def integrate_reduced(
     return integrate(f, np.array([s0.X, s0.Y, s0.Z]), opts)
 
 
+def lift(spec: ReducedSystemSpec, s: NambuState, phase: float = 0.0) -> FloatArray:
+    """Lab positions (3, 2) over the shape point ``s``, the inverse of
+    ``shape_map``: in the caller's labelling, with the center of vorticity
+    at the origin and the first scaled Jacobi vector pointing along
+    ``phase``, the angle that picks a point on the fiber circle."""
+    g0, g1, g2 = spec.circulations
+    n1 = 0.5 * (s.Z + s.Theta)  # |m1|^2 in both geometries
+    if n1 < 0.0:
+        raise ValueError(f"no preimage: |m1|^2 = {n1} < 0")
+    m1 = math.sqrt(n1) * cmath.exp(1j * phase)
+    w = complex(s.X, s.Y)
+    if n1 == 0.0:
+        if abs(w) > 1e-14:
+            raise ValueError("X + iY must vanish when the first pair coincides")
+        n2 = 0.5 * (s.Theta - s.Z) if spec.kappa2 > 0.0 else 0.5 * (s.Z - s.Theta)
+        m2 = math.sqrt(max(n2, 0.0)) + 0.0j
+    else:
+        m2 = (w / (2.0 * m1)).conjugate()  # X + iY = 2 m1 conj(m2)
+    R1 = m1 / math.sqrt(spec.kappa1)
+    R2 = m2 / math.sqrt(abs(spec.kappa2))
+    g12 = g0 + g1
+    pair_cm = g2 / spec.kappa3 * R2
+    r = (pair_cm + g1 / g12 * R1, pair_cm - g0 / g12 * R1, -(g12 / spec.kappa3) * R2)
+    x = np.empty((3, 2))
+    x[list(spec.permutation)] = [(v.real, v.imag) for v in r]
+    return x
+
+
 # nodes per side of the grid a leaf's level sets are traced on
 LEVEL_GRID_NODES = 201
 
@@ -517,11 +422,12 @@ _CASE_EDGES = np.array([
 ])
 
 
-def contour_cells(h: FloatArray, levels: Sequence[float]) -> list[tuple]:
+def contour_cells(h: FloatArray, levels: Sequence[float]) -> Iterator[tuple]:
     """Marching squares on a node grid ``h``: where it crosses each level.
 
-    Returns one (pu, pv) per level: the segment ends, each of shape
-    (segments, 2), in fractional node indices along the two grid axes.
+    Yields one (pu, pv) per level, as it traces that level: the segment
+    ends, each of shape (segments, 2), in fractional node indices along the
+    two grid axes.
     Segments come cell by cell, row-major; cells with a non-finite corner
     give none.  An end lies on a cell edge at t = (level - fa) / (fb - fa)
     of the way from its first corner a to its second corner b.
@@ -531,7 +437,6 @@ def contour_cells(h: FloatArray, levels: Sequence[float]) -> list[tuple]:
     f = corners[i, j]
     centre = 0.25 * (((f[:, 0] + f[:, 1]) + f[:, 2]) + f[:, 3])
     lo, hi = f.min(axis=1), f.max(axis=1)
-    out = []
     for level in levels:
         # only a cell with corners on both sides of the level has segments
         cell = np.nonzero((lo <= level) & (hi > level))[0]
@@ -547,8 +452,7 @@ def contour_cells(h: FloatArray, levels: Sequence[float]) -> list[tuple]:
         start, step = _CORNER_OFFSETS[a], _CORNER_OFFSETS[b] - _CORNER_OFFSETS[a]
         pu = (i[seg, None] + start[..., 0]) + t * step[..., 0]
         pv = (j[seg, None] + start[..., 1]) + t * step[..., 1]
-        out.append((pu, pv))
-    return out
+        yield pu, pv
 
 
 def _leaf_point(geometry: str, theta: float, u, v) -> tuple:
@@ -592,12 +496,13 @@ class LeafGrid:
             energy = reduced_energy(spec, X, Z, theta)
         return cls(spec.geometry, theta, us, vs, energy)
 
-    def level_sets(self, levels: Sequence[float]) -> list[tuple]:
+    def level_sets(self, levels: Sequence[float]) -> Iterator[tuple]:
         """(X, Y, Z) of the segment ends where the energy crosses each level,
-        each of shape (segments, 2), in the order of ``contour_cells``."""
+        each of shape (segments, 2), yielded level by level in the order of
+        ``contour_cells``."""
         us, vs = self.us, self.vs
-        return [
+        return (
             _leaf_point(self.geometry, self.theta,
                         us[0] + pu * (us[1] - us[0]), vs[0] + pv * (vs[1] - vs[0]))
             for pu, pv in contour_cells(self.energy, levels)
-        ]
+        )

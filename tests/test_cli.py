@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_golden import CASES
-from trivortex import cli
+from trivortex import cli, reduction
 from trivortex.cli import MAX_VALUES, _parse_values, main
 from trivortex.errors import StepBudgetExceeded
 from trivortex.reduction import reduce_state
@@ -352,6 +352,65 @@ def test_oversized_inputs_are_usage_errors_before_any_work():
         code, out, err = run_cli(args)
         assert (code, out) == (1, ""), args
         assert err
+
+
+def test_sweep_rejects_a_strength_that_is_not_positive_and_finite():
+    for gamma in ("nan", "inf", "0", "-1"):
+        code, out, err = run_cli(["sweep", "--rho", "0,1", f"--gamma={gamma}"])
+        assert (code, out) == (1, ""), gamma
+        assert "--gamma" in err
+
+
+def test_value_lists_reject_blank_parts():
+    for args in (
+        ["simulate", "--positions", "1,2,,3,4,5,6", "--gammas", "1,0.7,-0.6"],
+        ["critical", "--gammas", "1,,2"],
+        ["critical", "--gammas", "1,2,"],
+        ["sweep", "--rho", ""],
+        ["sweep", "--rho", "0.5,"],
+        ["closed-form", "--rho", ","],
+        ["reduced", "--levels", "0.1,,0.2", "--gamma", "1", "--theta", "1"],
+    ):
+        code, out, err = run_cli(args)
+        assert (code, out) == (1, ""), args
+        assert err
+
+
+def test_a_bad_gammas_keeps_the_parser_reason():
+    _, _, rho_err = run_cli(["sweep", "--rho", "0:1e9:1e-3"])
+    code, out, err = run_cli(["critical", "--gammas", "0.5:1e9:1e-3"])
+    assert (code, out) == (1, "")
+    want = f"asks for more than {MAX_VALUES} values"
+    assert want in rho_err and want in err
+    assert "cannot read --gammas '1,x'" in run_cli(["critical", "--gammas", "1,x"])[2]
+
+
+def test_levels_table_stops_past_max_values_rows(monkeypatch):
+    argv = ["reduced", "--levels", "3", "--gamma", "1", "--theta", "1"]
+    code, text, _ = run_cli(argv)
+    rows = text.count("\r\n") - 1
+    assert code == 0 and rows > 3
+    monkeypatch.setattr(cli, "MAX_VALUES", rows)
+    assert run_cli(argv) == (0, text, "")
+    monkeypatch.setattr(cli, "MAX_VALUES", rows - 1)
+    code, out, err = run_cli(argv)
+    assert (code, out) == (1, "") and f"passes {rows - 1} rows" in err
+
+    # the check runs as each level is traced: a long level list stops at
+    # the first level that passes the bound
+    traced = []
+    contour_cells = reduction.contour_cells
+
+    def counting(h, levels):
+        for cell in contour_cells(h, levels):
+            traced.append(cell)
+            yield cell
+
+    monkeypatch.setattr(reduction, "contour_cells", counting)
+    monkeypatch.setattr(cli, "MAX_VALUES", 50)
+    argv[2] = "50"
+    code, out, _ = run_cli(argv)
+    assert (code, out, len(traced)) == (1, "", 1)
 
 
 def test_time_budgets_and_tolerances_out_of_range_are_usage_errors():

@@ -10,19 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+from trivortex import elliptic
 from trivortex.elliptic import (
     COMPLEX_PAIR,
     IMAG_IMAG,
     REAL_IMAG,
     REAL_REAL,
-    carlson_rf,
-    carlson_rj,
+    _rj_core,
     delta_alpha_closed,
     delta_alpha_quadrature,
     p4_factor,
     tanh_sinh,
 )
-from trivortex.errors import BoundaryTheta, DomainError, QuadratureNonConvergence
+from trivortex.errors import BoundaryTheta, QuadratureNonConvergence
 
 # frozen reference deflections, one per factorization regime plus the
 # exact special value at Theta = 2
@@ -35,66 +35,59 @@ FROZEN_DEFLECTIONS = {
 }
 
 
-def test_rf_degenerate_argument():
-    for x in (0.3, 1.0, 7.5):
-        assert carlson_rf(x, x, x) == pytest.approx(1.0 / math.sqrt(x), rel=1e-15)
-
-
-def test_rf_matches_reference_implementation():
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        x, y, z = rng.uniform(0.0, 20.0, 3)
-        mine = carlson_rf(x, y, z)
-        ref = float(special.elliprf(x, y, z))
-        assert mine == pytest.approx(ref, rel=1e-12)
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    st.floats(0.01, 50.0),
-    st.floats(0.01, 50.0),
-    st.floats(0.01, 50.0),
-)
-def test_rf_symmetric_under_permutation(x, y, z):
-    base = carlson_rf(x, y, z)
-    assert carlson_rf(z, x, y) == pytest.approx(base, rel=1e-14)
-    assert carlson_rf(y, z, x) == pytest.approx(base, rel=1e-14)
-
-
-def test_rf_domain_errors():
-    with pytest.raises(DomainError):
-        carlson_rf(-1.0, 1.0, 1.0)
-    with pytest.raises(DomainError):
-        carlson_rf(0.0, 0.0, 1.0)
-    with pytest.raises(DomainError):
-        carlson_rf(math.nan, 1.0, 1.0)
-
-
 def test_rj_matches_reference_implementation():
     rng = np.random.default_rng(11)
     for _ in range(200):
         x, y, z = rng.uniform(0.0, 15.0, 3)
         p = rng.uniform(0.05, 15.0)
-        mine = carlson_rj(x, y, z, p)
+        mine = _rj_core(float(x), float(y), float(z), float(p))
         ref = float(special.elliprj(x, y, z, p))
         assert mine == pytest.approx(ref, rel=1e-11)
 
 
-def test_rj_principal_value_matches_reference():
-    rng = np.random.default_rng(13)
-    for _ in range(200):
-        x, y, z = rng.uniform(0.01, 15.0, 3)
-        p = -rng.uniform(0.05, 15.0)
-        mine = carlson_rj(x, y, z, p)
-        ref = float(special.elliprj(x, y, z, p))
-        assert mine == pytest.approx(ref, rel=1e-10, abs=1e-13)
+# all four regimes, and within 1e-9 of each boundary -1, 0 and 8
+THETA_GRID = [float(t) for t in np.linspace(-30.0, 60.0, 451) if t not in (-1.0, 0.0, 8.0)]
+THETA_GRID += [b + s * d for b in (-1.0, 0.0, 8.0) for d in (1e-9, 1e-6, 1e-3) for s in (-1, 1)]
 
 
-def test_rj_rejects_zero_weight():
-    with pytest.raises(DomainError):
-        carlson_rj(1.0, 2.0, 3.0, 0.0)
-    with pytest.raises(DomainError):
-        carlson_rj(-1.0, 2.0, 3.0, 1.0)
+def _closed_form_rj_calls(monkeypatch):
+    # every (x, y, z, p) that delta_alpha_closed hands _rj_core on the grid
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return _rj_core(*args)
+
+    monkeypatch.setattr(elliptic, "_rj_core", recording)
+    for t in THETA_GRID:
+        delta_alpha_closed(t)
+    return calls
+
+
+def test_closed_form_gives_rj_a_positive_weight(monkeypatch):
+    calls = _closed_form_rj_calls(monkeypatch)
+    assert len(calls) == 2 * len(THETA_GRID)
+    regimes = {p4_factor(t).regime for t in THETA_GRID}
+    assert regimes == {COMPLEX_PAIR, REAL_REAL, REAL_IMAG, IMAG_IMAG}
+    for x, y, z, p in calls:
+        assert type(p) is float and p > 0.0
+        if isinstance(y, complex):
+            assert x == 0.0 and z == y.conjugate()
+        else:
+            assert min(x, y, z) >= 0.0 and sorted((x, y, z))[1] > 0.0
+
+
+def test_rj_core_matches_scipy_on_the_closed_form_arguments(monkeypatch):
+    calls = _closed_form_rj_calls(monkeypatch)
+    pairs = 0
+    for args in calls:
+        mine, ref = _rj_core(*args), complex(special.elliprj(*args))
+        if isinstance(args[1], complex):  # the ComplexPair regime's conjugate pair
+            pairs += 1
+        else:
+            assert isinstance(mine, float) and ref.imag == 0.0
+        assert abs(mine - ref) <= 1e-13 * abs(ref)
+    assert pairs > 100
 
 
 def test_quadrature_helper_flags_stalls():

@@ -26,9 +26,8 @@ from trivortex.reduction import (
     HYPERBOLOID,
     SPHERE,
     ReducedSystemSpec,
-    from_jacobi,
+    lift,
     nambu_rhs,
-    nambu_to_frame,
     reduced_hamiltonian,
 )
 
@@ -369,8 +368,7 @@ def test_singularities_zero_only_their_own_log_argument():
 
 
 def _lab_configuration(point, circulations):
-    frame = nambu_to_frame(point.as_state(), circulations, phase=0.0)
-    return from_jacobi(frame, circulations)
+    return lift(ReducedSystemSpec.for_circulations(circulations), point.as_state())
 
 
 def test_catalog_points_are_lab_relative_equilibria():
@@ -441,11 +439,12 @@ def test_hierarchical_pair_near_coincidence_singularity():
     assert sing.coords[0] == pytest.approx(x_s, abs=1e-14)
     from trivortex.reduction import NambuState
 
+    spec = ReducedSystemSpec.for_circulations(circs)
     prev = None
     for eps in (0.05, 0.01, 0.002):
         X = x_s - eps
         s = NambuState(X, 0.0, math.sqrt(th * th + X * X), th, HYPERBOLOID)
-        x = from_jacobi(nambu_to_frame(s, circs, phase=0.0), circs)
+        x = lift(spec, s)
         d_pair = float(np.hypot(*(x[1] - x[2])))
         d_other = float(np.hypot(*(x[0] - x[1])))
         assert d_other > 1.0

@@ -1,4 +1,4 @@
-"""Reduction chain: frames, shape map, reduced energies, rates, two routes."""
+"""Reduction chain: shape map and its lift, reduced energies, rates, two routes."""
 
 from __future__ import annotations
 
@@ -16,26 +16,21 @@ from trivortex.integrate import IntegratorOptions, integrate
 from trivortex.reduction import (
     HYPERBOLOID,
     SPHERE,
-    JacobiFrame,
     LeafGrid,
     NambuState,
     ReducedSystemSpec,
     contour_cells,
-    frame_from_vectors,
-    from_jacobi,
     heading_rate,
     integrate_reduced,
     leaf_residual,
     leaf_z,
+    lift,
     nambu_rhs,
-    nambu_to_frame,
     reduce_state,
     reduced_energy,
     reduced_gradients,
     reduced_hamiltonian,
     shape_map,
-    to_jacobi,
-    to_nambu,
 )
 
 RNG = np.random.default_rng(2024)
@@ -46,43 +41,62 @@ def _random_positions(n=3, lo=-2.0, hi=2.0):
 
 
 def test_virtual_strengths_for_reference_families():
-    x = _random_positions()
     for g, want in (
         ([1.0, 1.0, 1.0], (0.5, 2.0 / 3.0, 3.0)),
         ([1.0, 1.0, -1.0], (0.5, -2.0, 1.0)),
         ([1.0, 2.0, -1.0], (2.0 / 3.0, -1.5, 2.0)),
     ):
-        fr = to_jacobi(x, g)
-        assert (fr.kappa1, fr.kappa2, fr.kappa3) == pytest.approx(want, abs=1e-14)
+        spec = ReducedSystemSpec.for_circulations(g)
+        assert (spec.kappa1, spec.kappa2, spec.kappa3) == pytest.approx(want, abs=1e-14)
+
+
+def _center_of_vorticity(x, g):
+    return sum(gi * xi for gi, xi in zip(g, x)) / sum(g)
 
 
 def test_frame_round_trip():
+    # the lift puts the center of vorticity at the origin and the first
+    # scaled Jacobi vector along the phase, and is x itself up to that frame
     for _ in range(20):
         x = _random_positions()
         g = RNG.uniform(0.2, 2.0, size=3) * np.array([1.0, 1.0, RNG.choice([-0.5, 1.0])])
         if abs(g.sum()) < 0.05 or abs(g[0] + g[1]) < 0.05:
             continue
-        fr = to_jacobi(x, g)
-        assert np.abs(from_jacobi(fr, g) - x).max() < 1e-12
+        spec, s = reduce_state(x, g)
+        phase = RNG.uniform(-math.pi, math.pi)
+        y = lift(spec, s, phase)
+        assert np.abs(_center_of_vorticity(y, g)).max() < 1e-12
+        i, j = spec.permutation[:2]
+        assert math.atan2(*(y[i] - y[j])[::-1]) == pytest.approx(phase, abs=1e-12)
+        r1 = x[i] - x[j]
+        y = lift(spec, s, math.atan2(r1[1], r1[0]))
+        assert np.abs(y + _center_of_vorticity(x, g) - x).max() < 1e-12
 
 
 def test_frame_special_points():
-    g = [1.0, 1.0, -1.0]
-    fr = frame_from_vectors((0.0, 0.0), (0.7, -0.2), g, R3=(0.3, 0.4))
-    x = from_jacobi(fr, g)
+    spec = ReducedSystemSpec.for_circulations([1.0, 1.0, -1.0])
+    # first pair coincident: Z + Theta = 0 and X = Y = 0
+    x = lift(spec, NambuState(0.0, 0.0, 0.7, -0.7, HYPERBOLOID), phase=1.1)
     assert np.allclose(x[0], x[1], atol=1e-15)
-    fr2 = frame_from_vectors((0.9, 0.1), (0.0, 0.0), g, R3=(0.0, 0.0))
-    x2 = from_jacobi(fr2, g)
-    pair_cm = (x2[0] + x2[1]) / 2.0
-    assert np.allclose(x2[2], pair_cm, atol=1e-15)
+    assert np.abs(x[2] - x[0]).max() > 0.1
+    # third vortex at the first pair's center: Z = Theta and X = Y = 0
+    x2 = lift(spec, NambuState(0.0, 0.0, 0.9, 0.9, HYPERBOLOID), phase=0.3)
+    assert np.allclose(x2[2], (x2[0] + x2[1]) / 2.0, atol=1e-15)
+    assert np.abs(x2[0] - x2[1]).max() > 0.1
+    # off the leaf or over a coincident pair with X + iY != 0, no preimage
+    with pytest.raises(ValueError):
+        lift(spec, SimpleNamespace(X=0.0, Y=0.0, Z=0.5, Theta=-0.7))
+    with pytest.raises(ValueError):
+        lift(spec, SimpleNamespace(X=0.1, Y=0.0, Z=0.7, Theta=-0.7))
 
 
 def test_degenerate_strength_sums_raise():
+    # relabelling puts two strengths of one sign first, so only the total
+    # can vanish
     x = _random_positions()
-    with pytest.raises(DegenerateCirculationSum):
-        to_jacobi(x, [1.0, -1.0, 0.5])
-    with pytest.raises(DegenerateCirculationSum):
-        to_jacobi(x, [1.0, 1.0, -2.0])
+    for g in ([1.0, 1.0, -2.0], [-1.0, 0.5, 0.5], [0.3, -1.0, 0.7]):
+        with pytest.raises(DegenerateCirculationSum):
+            reduce_state(x, g)
 
 
 def test_collinear_iff_shape_y_vanishes():
@@ -399,8 +413,8 @@ def test_shape_fiber_inverse():
         spec = ReducedSystemSpec.for_circulations(g)
         for _ in range(20):
             s = _random_nambu(spec)
-            fr = nambu_to_frame(s, g, phase=RNG.uniform(0.0, 2.0 * math.pi))
-            s2 = to_nambu(fr)
+            x = lift(spec, s, phase=RNG.uniform(0.0, 2.0 * math.pi))
+            _, s2 = reduce_state(x, g, spec)
             assert (s2.X, s2.Y, s2.Z, s2.Theta) == pytest.approx(
                 (s.X, s.Y, s.Z, s.Theta), rel=1e-10, abs=1e-10
             )
@@ -419,34 +433,48 @@ _strengths = st.one_of(
 )
 
 
-def _relabelled_frame(coords, g):
-    spec = ReducedSystemSpec.for_circulations(g)
-    x = np.array(coords).reshape(3, 2)[list(spec.permutation)]
-    return x, spec.circulations, to_jacobi(x, spec.circulations)
+def _pair_norms(x, spec):
+    # |m1|^2 and |m2|^2, the squared scaled Jacobi vectors of x; the lift
+    # loses about (n1 + n2) / n1 ulps as the first pair closes
+    r = x[list(spec.permutation)]
+    g0, g1, _ = spec.circulations
+    r1 = r[0] - r[1]
+    r2 = (g0 * r[0] + g1 * r[1]) / (g0 + g1) - r[2]
+    return spec.kappa1 * float(r1 @ r1), abs(spec.kappa2) * float(r2 @ r2)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_coord, min_size=6, max_size=6), _strengths)
 def test_jacobi_frame_round_trip(coords, g):
-    x, circ, fr = _relabelled_frame(coords, g)
-    assert np.abs(from_jacobi(fr, circ) - x).max() <= 1e-12 * max(1.0, np.abs(x).max())
+    # the lift of a state's shape point is the state, up to a rotation about
+    # its center of vorticity and a shift of that center
+    x = np.array(coords).reshape(3, 2)
+    spec, s = reduce_state(x, g)
+    n1, n2 = _pair_norms(x, spec)
+    assume(n1 > 1e-4 * (n1 + n2))
+    i, j = spec.permutation[:2]
+    y = lift(spec, s, phase=math.atan2(x[i, 1] - x[j, 1], x[i, 0] - x[j, 0]))
+    moved = x - _center_of_vorticity(x, g)
+    scale = max(1.0, float(np.abs(moved).max()))
+    assert np.abs(y - moved).max() <= 1e-10 * scale
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(_coord, min_size=6, max_size=6), _strengths)
-def test_shape_point_round_trip(coords, g):
-    _, circ, fr = _relabelled_frame(coords, g)
-    n1 = fr.kappa1 * (fr.R1[0] ** 2 + fr.R1[1] ** 2)
-    n2 = abs(fr.kappa2) * (fr.R2[0] ** 2 + fr.R2[1] ** 2)
-    # the fiber inverse loses about (n1 + n2) / n1 ulps as the first pair closes
+@given(
+    st.lists(_coord, min_size=6, max_size=6), _strengths,
+    st.floats(-2.0 * math.pi, 2.0 * math.pi),
+)
+def test_shape_point_round_trip(coords, g, phase):
+    # every point of the fiber over a shape point maps back to it
+    x = np.array(coords).reshape(3, 2)
+    spec, s = reduce_state(x, g)
+    n1, n2 = _pair_norms(x, spec)
     assume(n1 > 1e-4 * (n1 + n2))
-    s = to_nambu(fr)
-    back = nambu_to_frame(s, circ, phase=math.atan2(fr.R1[1], fr.R1[0]))
-    scale = max(1.0, *np.abs([fr.R1, fr.R2]).ravel())
-    assert np.abs(np.subtract([back.R1, back.R2], [fr.R1, fr.R2])).max() <= 1e-10 * scale
-    s2 = to_nambu(back)
-    assert (s2.X, s2.Y, s2.Z, s2.Theta) == pytest.approx(
-        (s.X, s.Y, s.Z, s.Theta), rel=0.0, abs=1e-10 * max(1.0, n1 + n2)
+    X, Y, Z, theta = shape_map(lift(spec, s, phase), spec)
+    # |m1|^2 + |m2|^2 is |Theta| on the sphere and Z on the hyperboloid
+    scale = max(1.0, abs(s.Z), abs(s.Theta))
+    assert (X, Y, Z, theta) == pytest.approx(
+        (s.X, s.Y, s.Z, s.Theta), rel=0.0, abs=1e-10 * scale
     )
 
 
@@ -589,7 +617,7 @@ def test_contour_cells_match_the_per_cell_reference(seed):
     finite = h[np.isfinite(h)]
     levels = [*rng.choice(finite, size=4), *rng.uniform(-1.5, 1.5, size=3)]
     levels = list(map(float, levels))
-    cells = contour_cells(h, levels)
+    cells = list(contour_cells(h, levels))
     assert len(cells) == len(levels)
     seen = np.zeros(2, dtype=int)
     for level, (pu, pv) in zip(levels, cells):
@@ -612,8 +640,8 @@ def test_level_sets_of_a_leaf_are_its_levels_one_by_one(g, theta, window):
     assert 0 < finite.size < grid.energy.size
     # the automatic levels: evenly between the 5th and 95th percentiles
     levels = np.linspace(*np.percentile(finite, [5.0, 95.0]), 9).tolist()
-    together = contour_cells(grid.energy, levels)
-    sets = grid.level_sets(levels)
+    together = list(contour_cells(grid.energy, levels))
+    sets = list(grid.level_sets(levels))
     assert len(together) == len(sets) == len(levels)
     for level, cells, ends in zip(levels, together, sets):
         ((pu, pv),) = contour_cells(grid.energy, [level])
@@ -627,9 +655,9 @@ def test_level_sets_of_a_leaf_are_its_levels_one_by_one(g, theta, window):
 
 def test_contour_cells_of_no_levels():
     h = np.arange(20.0).reshape(4, 5)
-    assert contour_cells(h, []) == []
+    assert list(contour_cells(h, [])) == []
     grid = LeafGrid.sample(ReducedSystemSpec.for_circulations([1.0, 1.0, 1.0]), 1.0)
-    assert grid.level_sets([]) == []
+    assert list(grid.level_sets([])) == []
 
 
 def test_contour_cells_of_a_grid_without_finite_cells():

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trivortex
-from trivortex import core
+from trivortex import core, elliptic, errors, reduction
 from trivortex.core import flat_rhs, invariants, pair_kernel
 from trivortex.elliptic import delta_alpha_closed
 from trivortex.equilibria import separatrix_energy
@@ -589,3 +589,14 @@ def test_every_exported_name_resolves():
     }
     assert removed.isdisjoint(trivortex.__all__)
     assert not any(hasattr(trivortex, name) for name in removed)
+    # and gone from their modules: the frame layer, whose one inverse is now
+    # reduction.lift, and the R_F and principal-value R_J route
+    gone = {
+        reduction: ("JacobiFrame", "to_jacobi", "frame_from_vectors", "from_jacobi",
+                    "to_nambu", "nambu_to_frame"),
+        elliptic: ("carlson_rf", "carlson_rj", "_rf_core", "_check_real_triple"),
+        errors: ("DomainError",),
+    }
+    for module, names in gone.items():
+        assert [n for n in names if hasattr(module, n)] == []
+        assert set(names).isdisjoint(trivortex.__all__)
