@@ -72,6 +72,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
+class _Given(argparse.Action):
+    # stores the value and notes the flag in ns.given, so a mode can refuse a
+    # flag it does not use even when its value equals the default
+    def __call__(self, parser, ns, values, option_string=None):
+        setattr(ns, self.dest, values)
+        ns.given = (*getattr(ns, "given", ()), self.option_strings[0])
+
+
 def _parse_values(text: str, what: str) -> list[float]:
     """One number, a comma list, or an inclusive start:stop:step range."""
     text = text.strip()
@@ -143,13 +151,18 @@ _NUMBERS = frozenset(_SPELLINGS)
 
 
 def _render(ns, columns, rows) -> str:
-    """The table as text in ``ns.format``; JSON echoes the parsed options."""
+    """The table as text in ``ns.format``; JSON echoes the parsed options.
+    ``rows`` is a sequence of rows or a 2-D float64 array."""
+    table = getattr(rows, "dtype", None) == np.float64
     if ns.format == "csv":
-        return _render_csv(columns, rows)
+        return _render_csv(columns, rows, table)
+    # json prints a finite float as _cell returns it
+    finite = table and np.isfinite(rows).all()
+    rows = rows.tolist() if table else rows
     payload = {
         "config": {k: v for k, v in vars(ns).items() if k != "out"},
         "columns": list(columns),
-        "rows": [_json_row(row) for row in rows],
+        "rows": rows if finite else [_json_row(row) for row in rows],
     }
     return json.dumps(payload, sort_keys=True, allow_nan=False) + "\n"
 
@@ -165,12 +178,16 @@ def _json_row(row):
     return [_cell(c) for c in row]
 
 
-def _render_csv(columns, rows) -> str:
-    """A row of floats and ints goes through one template per type signature;
-    any other row goes cell by cell through _fmt and the csv writer."""
+def _render_csv(columns, rows, table) -> str:
+    """A float64 ``table`` goes through one template for every row; in any
+    other table, a row of floats and ints goes through one template per type
+    signature, and any other row cell by cell through _fmt and the csv writer."""
     parts = []
     w = csv.writer(SimpleNamespace(write=parts.append), lineterminator="\r\n")
     w.writerow(columns)
+    if table:
+        template = ",".join(["%.17g"] * rows.shape[1]) + "\r\n"
+        return "".join([*parts, *map(template.__mod__, map(tuple, rows.tolist()))])
     templates = {}
     key = template = None
     for row in rows:
@@ -218,7 +235,7 @@ def _uniform_times(t_end: float, samples: int) -> np.ndarray:
     return np.linspace(0.0, t_end, samples)
 
 
-def cmd_simulate(ns) -> tuple[tuple, list]:
+def cmd_simulate(ns) -> tuple[tuple, np.ndarray]:
     positions, g = _launch_or_positions(ns)
     ts = _uniform_times(ns.t_end, ns.samples)
     traj = integrate(
@@ -228,12 +245,13 @@ def cmd_simulate(ns) -> tuple[tuple, list]:
     )
     ys = traj.interpolate(ts)
     c = conserved(ys.reshape(-1, 3, 2), g)
-    rows = np.column_stack((ts, ys, c.H, c.Theta, *c.M)).tolist()
-    return SIMULATE_COLUMNS, rows
+    return SIMULATE_COLUMNS, np.column_stack((ts, ys, c.H, c.Theta, *c.M))
 
 
-def cmd_reduced(ns) -> tuple[tuple, list]:
+def cmd_reduced(ns) -> tuple[tuple, np.ndarray | list]:
     if ns.levels is not None:
+        if getattr(ns, "given", ()):
+            raise ValueError(f"{ns.given[0]} does not apply to --levels mode")
         return _reduced_levels(ns)
     if ns.theta is not None:
         raise ValueError("--theta picks the leaf of --levels mode")
@@ -254,15 +272,9 @@ def cmd_reduced(ns) -> tuple[tuple, list]:
     )
     columns = REDUCED_COLUMNS + (("alpha",) if with_alpha else ())
     vs = traj.interpolate(ts)
-    res, scale = leaf_residual(s0.geometry, vs[:, 0], vs[:, 1], vs[:, 2], theta)
-    h = [
-        reduced_hamiltonian(spec, SimpleNamespace(X=x, Y=y, Z=z, Theta=theta))
-        for x, y, z in vs[:, :3].tolist()
-    ]
-    rows = np.column_stack(
-        (ts, vs[:, :3], h, np.abs(res) / scale, vs[:, 3:])
-    ).tolist()
-    return columns, rows
+    res, scale = leaf_residual(s0.geometry, *vs[:, :3].T, theta)
+    h = reduced_hamiltonian(spec, SimpleNamespace(X=vs[:, 0], Z=vs[:, 2], Theta=theta))
+    return columns, np.column_stack((ts, vs[:, :3], h, np.abs(res) / scale, vs[:, 3:]))
 
 
 def _family(ns):
@@ -450,12 +462,12 @@ def build_parser() -> _Parser:
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         if integrates:
-            p.add_argument("--rtol", type=float, default=1e-10)
-            p.add_argument("--atol", type=float, default=1e-12)
+            p.add_argument("--rtol", type=float, default=1e-10, action=_Given)
+            p.add_argument("--atol", type=float, default=1e-12, action=_Given)
             p.add_argument("--L", dest="launch", type=float, default=100.0,
-                           help="launch distance of the incoming pair")
+                           action=_Given, help="launch distance of the incoming pair")
             p.add_argument("--d", dest="spacing", type=float, default=1.0,
-                           help="length scale of the setup")
+                           action=_Given, help="length scale of the setup")
 
     def strengths(text):
         try:
@@ -485,8 +497,8 @@ def build_parser() -> _Parser:
     mode.add_argument("--levels", nargs="?", const="auto", default=None,
                       help="emit energy level sets: a count, a comma list of "
                       "values, or bare for automatic levels")
-    p.add_argument("--t-end", dest="t_end", type=float, default=100.0)
-    p.add_argument("--samples", type=int, default=1001)
+    p.add_argument("--t-end", dest="t_end", type=float, default=100.0, action=_Given)
+    p.add_argument("--samples", type=int, default=1001, action=_Given)
 
     p = sub.add_parser("sweep", help="scattering angle over offsets")
     common(p, integrates=True)
@@ -565,6 +577,7 @@ def main(argv=None) -> int:
             f"trivortex {ns.subcommand}: {type(exc).__name__}: {exc}\n"
         )
         return NUMERICAL_ERROR
+    vars(ns).pop("given", None)  # bookkeeping, not a parsed option to echo
     _emit(ns, columns, rows)
     return 0
 

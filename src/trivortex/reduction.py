@@ -246,18 +246,6 @@ class ReducedSystemSpec:
         )
 
 
-def _term_args(
-    spec: ReducedSystemSpec, X: float, Z: float, Theta: float
-) -> list[float]:
-    args = []
-    for t in spec.terms:
-        A = t.arg(X, Z, Theta)
-        if A <= 0.0:
-            raise SingularState(t.pair, A)
-        args.append(A)
-    return args
-
-
 def reduced_energy(spec: ReducedSystemSpec, X, Z, Theta):
     """Energy in the selector's normalization, elementwise and unchecked:
     non-finite wherever a log argument is <= 0."""
@@ -267,10 +255,17 @@ def reduced_energy(spec: ReducedSystemSpec, X, Z, Theta):
     return h
 
 
-def reduced_hamiltonian(spec: ReducedSystemSpec, s: NambuState) -> float:
-    """Energy of a shape point in the selector's normalization."""
-    _term_args(spec, s.X, s.Z, s.Theta)  # raises SingularState
-    return float(reduced_energy(spec, s.X, s.Z, s.Theta))
+def reduced_hamiltonian(spec: ReducedSystemSpec, s: NambuState):
+    """Energy of a shape point in the selector's normalization: a float for
+    one point, elementwise for arrays of X, Z and Theta.  Raises
+    SingularState for the first point, in order, with a log argument <= 0."""
+    args = np.array([t.arg(s.X, s.Z, s.Theta) for t in spec.terms]).reshape(len(spec.terms), -1)
+    bad = np.argwhere(args.T <= 0.0)  # (point, term), in order; NaN is not <= 0
+    if len(bad):
+        point, term = bad[0]
+        raise SingularState(spec.terms[term].pair, float(args[term, point]))
+    h = reduced_energy(spec, s.X, s.Z, s.Theta)
+    return h if np.ndim(h) else float(h)
 
 
 def reduced_gradients(
@@ -281,9 +276,11 @@ def reduced_gradients(
     The Y-derivative is identically zero for every selector, which is what
     collapses the evolution to the template used in ``nambu_rhs``.
     """
-    args = _term_args(spec, X, Z, Theta)
     hx = hz = hxx = hxz = hzz = 0.0
-    for t, A in zip(spec.terms, args):
+    for t in spec.terms:
+        A = t.arg(X, Z, Theta)
+        if A <= 0.0:
+            raise SingularState(t.pair, A)
         w = t.c / A
         hx += w * t.a
         hz += w * t.b

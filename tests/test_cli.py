@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from test_golden import CASES
@@ -385,6 +385,38 @@ def test_a_bad_gammas_keeps_the_parser_reason():
     assert "cannot read --gammas '1,x'" in run_cli(["critical", "--gammas", "1,x"])[2]
 
 
+_INTEGRATION_FLAGS = {"--rtol": "5", "--atol": "1e-12", "--L": "-3", "--d": "1",
+                      "--t-end": "100", "--samples": "0"}
+
+
+def test_levels_mode_rejects_the_integration_flags():
+    leaf = ["reduced", "--levels", "2", "--gamma", "0.4", "--theta", "1.3"]
+    code, out, err = run_cli([*leaf, "--rtol", "5", "--L", "-3", "--samples", "0"])
+    assert (code, out) == (1, "") and "--rtol" in err
+    # given alone, abbreviated, glued with '=' or equal to its default, each
+    # flag is refused by its name
+    for flag, value in _INTEGRATION_FLAGS.items():
+        for argv in ([*leaf, flag, value], [*leaf, f"{flag}={value}"]):
+            code, out, err = run_cli(argv)
+            assert (code, out) == (1, ""), argv
+            assert f"{flag} does not apply to --levels mode" in err, argv
+    code, out, err = run_cli([*leaf, "--samp", "1001"])
+    assert (code, out) == (1, "") and "--samples does not" in err
+    # the config echo still holds every default, and nothing else
+    code, text, _ = run_cli([*leaf, "--format", "json"])
+    config = json.loads(text)["config"]
+    assert code == 0 and "given" not in config
+    assert {k: config[k] for k in ("rtol", "atol", "launch", "spacing", "t_end", "samples")} == {
+        "rtol": 1e-10, "atol": 1e-12, "launch": 100.0, "spacing": 1.0, "t_end": 100.0,
+        "samples": 1001}
+    # launch mode and the other integrating subcommands still take them
+    for sub in ("reduced", "simulate"):
+        argv = [sub, "--rho", "0.5", "--rtol", "1e-9", "--L", "12", "--t-end", "5",
+                "--samples", "3", "--format", "json"]
+        code, text, _ = run_cli(argv)
+        assert code == 0 and "given" not in json.loads(text)["config"]
+
+
 def test_levels_table_stops_past_max_values_rows(monkeypatch):
     argv = ["reduced", "--levels", "3", "--gamma", "1", "--theta", "1"]
     code, text, _ = run_cli(argv)
@@ -525,8 +557,24 @@ _ROWS = st.lists(
 )
 
 
+# a float64 table, as simulate and reduced hand it over: any shape,
+# zero rows and zero or one column included
+_FLOAT_TABLES = st.tuples(st.integers(0, 6), st.integers(0, 7)).flatmap(
+    lambda shape: st.lists(_FLOATS, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1])
+    .map(lambda cells: np.array(cells, dtype=np.float64).reshape(shape))
+)
+_EDGE_TABLE = np.array(_EDGE_FLOATS).reshape(3, 4)
+
+
 @settings(max_examples=200, deadline=None)
-@given(rows=_ROWS, fmt=st.sampled_from(("csv", "json")))
+@given(rows=st.one_of(_ROWS, _FLOAT_TABLES), fmt=st.sampled_from(("csv", "json")))
+@example(rows=_EDGE_TABLE, fmt="csv")
+@example(rows=_EDGE_TABLE, fmt="json")
+@example(rows=_EDGE_TABLE[1:], fmt="json")  # finite cells only
+@example(rows=_EDGE_TABLE.reshape(-1, 1), fmt="csv")
+@example(rows=_EDGE_TABLE.reshape(-1, 1), fmt="json")
+@example(rows=np.empty((0, 3)), fmt="csv")
+@example(rows=np.empty((0, 3)), fmt="json")
 def test_render_is_the_per_cell_writer_byte_for_byte(rows, fmt):
     ns = argparse.Namespace(subcommand="test", format=fmt, out=None)
     columns = ("a", "b,c", 'd"e')
@@ -562,8 +610,10 @@ def _refuse(cell):
     raise AssertionError(f"per-cell path reached with {cell!r}")
 
 
-@pytest.mark.parametrize("argv", [CASES["levels"], ["simulate", *_TRAJECTORY_TAIL]],
-                         ids=["levels", "simulate"])
+@pytest.mark.parametrize(
+    "argv", [CASES["levels"], ["simulate", *_TRAJECTORY_TAIL], ["reduced", *_TRAJECTORY_TAIL]],
+    ids=["levels", "simulate", "reduced"],
+)
 def test_tables_of_floats_and_ints_skip_the_per_cell_path(argv, monkeypatch):
     for fmt in ("csv", "json"):
         code, text, _ = run_cli(argv + ["--format", fmt])

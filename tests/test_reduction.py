@@ -532,6 +532,84 @@ def test_stacked_reduced_energy_equals_each_point(points, theta, g):
                 reduced_hamiltonian(spec, s)
 
 
+# one triple of strengths per selector
+_SELECTOR_STRENGTHS = {
+    "specialized-111": [1.0, 1.0, 1.0],
+    "specialized-11m1": [1.0, 1.0, -1.0],
+    "specialized-gamma": [1.0, 0.4, -1.0],
+    "general-positive": [1.0, 0.8, 2.0],
+    "general-negative": [2.0, -1.0, 0.5],
+}
+
+
+def _each_point(spec, X, Z, Theta):
+    """The per-point calls in order: (energies, (pair, value) of the first
+    failure or None)."""
+    h = []
+    for x, z, th in zip(X, Z, np.broadcast_to(Theta, np.shape(X)).tolist()):
+        try:
+            h.append(reduced_hamiltonian(spec, SimpleNamespace(X=x, Z=z, Theta=th)))
+        except SingularState as exc:
+            return h, (exc.pair, exc.value)
+    return h, None
+
+
+@pytest.mark.parametrize("selector", _SELECTOR_STRENGTHS)
+def test_stacked_reduced_hamiltonian_equals_each_point(selector):
+    spec = ReducedSystemSpec.for_circulations(_SELECTOR_STRENGTHS[selector])
+    assert spec.selector == selector
+    # leaf points on one leaf with a scalar Theta, as a trajectory table
+    # has, and points spread over leaves with one Theta each
+    for states, one_leaf in (([_random_nambu(spec, (1.7, 1.7)) for _ in range(40)], True),
+                             ([_random_nambu(spec) for _ in range(40)], False)):
+        X, Z, Theta = (np.array([getattr(s, k) for s in states]) for k in ("X", "Z", "Theta"))
+        if one_leaf:
+            Theta = states[0].Theta
+        h = reduced_hamiltonian(spec, SimpleNamespace(X=X, Z=Z, Theta=Theta))
+        each, failure = _each_point(spec, X.tolist(), Z.tolist(), Theta)
+        assert failure is None and all(type(v) is float for v in each)
+        assert h.dtype == np.float64 and h.tobytes() == np.array(each).tobytes()
+
+
+@pytest.mark.parametrize("selector", _SELECTOR_STRENGTHS)
+def test_stacked_reduced_hamiltonian_raises_the_first_point_failure(selector):
+    spec = ReducedSystemSpec.for_circulations(_SELECTOR_STRENGTHS[selector])
+    states = [_random_nambu(spec, (1.7, 1.7)) for _ in range(12)]
+    X, Z, theta = np.array([s.X for s in states]), np.array([s.Z for s in states]), states[0].Theta
+    # singular points, one per failing pair; the first two go in the middle
+    # of the array
+    singular = {}
+    for x, z in RNG.uniform(-10.0, 10.0, size=(400, 2)).tolist():
+        failure = _each_point(spec, [x], [z], theta)[1]
+        if failure is not None:
+            singular.setdefault(failure[0], (x, z))
+    assert len(singular) >= 2
+    (X[5], Z[5]), (X[9], Z[9]) = list(singular.values())[:2]
+    each, failure = _each_point(spec, X.tolist(), Z.tolist(), theta)
+    assert len(each) == 5 and failure is not None
+    with pytest.raises(SingularState) as info:
+        reduced_hamiltonian(spec, SimpleNamespace(X=X, Z=Z, Theta=theta))
+    assert (info.value.pair, info.value.value) == failure
+    assert type(info.value.value) is float
+
+
+def test_reduced_hamiltonian_keeps_its_scalar_and_nan_cells():
+    spec = ReducedSystemSpec.for_circulations([1.0, 1.0, -1.0])
+    s = NambuState(0.3, 0.4, math.sqrt(1.0 + 0.25), 1.0, HYPERBOLOID)
+    assert type(reduced_hamiltonian(spec, s)) is float
+    # an argument of exactly zero is singular; the point call names the pair
+    with pytest.raises(SingularState) as info:
+        reduced_hamiltonian(spec, SimpleNamespace(X=np.array([0.5, 2.0]), Z=np.array([1.5, 2.0]),
+                                                  Theta=1.0))
+    assert (info.value.pair, info.value.value) == ((1, 2), 0.0)
+    # NaN is not <= 0: its cell is NaN, and the others are the point values
+    X, Z = np.array([0.5, math.nan, 0.2]), np.array([1.5, 1.5, math.nan])
+    h = reduced_hamiltonian(spec, SimpleNamespace(X=X, Z=Z, Theta=1.0))
+    assert math.isnan(h[1]) and math.isnan(h[2])
+    assert h[0] == reduced_hamiltonian(spec, SimpleNamespace(X=0.5, Z=1.5, Theta=1.0))
+    assert math.isnan(reduced_hamiltonian(spec, SimpleNamespace(X=math.nan, Z=1.5, Theta=1.0)))
+
+
 # The per-cell marching squares that ``contour_cells`` replaced, kept as its
 # reference.  Corner bits (f00, f10, f11, f01) -> edge pairs; edges 0..3
 # are bottom, right, top, left.
