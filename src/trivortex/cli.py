@@ -156,13 +156,11 @@ def _render(ns, columns, rows) -> str:
     table = getattr(rows, "dtype", None) == np.float64
     if ns.format == "csv":
         return _render_csv(columns, rows, table)
-    # json prints a finite float as _cell returns it
-    finite = table and np.isfinite(rows).all()
     rows = rows.tolist() if table else rows
     payload = {
         "config": {k: v for k, v in vars(ns).items() if k != "out"},
         "columns": list(columns),
-        "rows": rows if finite else [_json_row(row) for row in rows],
+        "rows": [_json_row(row) for row in rows],
     }
     return json.dumps(payload, sort_keys=True, allow_nan=False) + "\n"
 
