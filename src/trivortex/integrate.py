@@ -7,6 +7,8 @@ interpolant that goes with the pair.
 
 from __future__ import annotations
 
+import functools
+import linecache
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -143,6 +145,67 @@ def _initial_step(
     return min(100 * h0, h1, span)
 
 
+@functools.lru_cache(maxsize=16)
+def _stepper(n: int):
+    """The step loop for a state of n floats, compiled once per n.  ``each``
+    writes an expression out per component i (yi, the new zi, slope j's kj_i),
+    so the loop makes a component loop's float operations in the same order."""
+    def each(expr, sep=", "):
+        return sep.join([expr.format(i=i) for i in range(n)])
+
+    source = f"""\
+def step_loop(f, t, y, k1, h, t_end, s, rtol, atol, max_steps, on_step, taken):
+    err_prev = 1e-4
+    for _ in range(max_steps):
+        {each('y{i}')}, = y
+        {each('k1_{i}')}, = k1
+        last = h >= abs(t_end - t)
+        if last:
+            h = abs(t_end - t)
+        elif h < _MIN_STEP:
+            raise StepSizeUnderflow(t, h)
+        sh = s * h
+        t_new = t_end if last else t + sh
+        {each('k2_{i}')}, = k2 = f(t + sh * _C2, [{each('y{i} + sh * (_A21 * k1_{i})')}])
+        {each('k3_{i}')}, = k3 = f(t + sh * _C3, [{each('y{i} + sh * (_A31 * k1_{i} + _A32 * k2_{i})')}])
+        {each('k4_{i}')}, = k4 = f(t + sh * _C4, [{each(
+            'y{i} + sh * (_A41 * k1_{i} + _A42 * k2_{i} + _A43 * k3_{i})')}])
+        {each('k5_{i}')}, = k5 = f(t + sh * _C5, [{each(
+            'y{i} + sh * (_A51 * k1_{i} + _A52 * k2_{i} + _A53 * k3_{i} + _A54 * k4_{i})')}])
+        {each('k6_{i}')}, = k6 = f(t + sh, [{each('y{i} + sh * (_A61 * k1_{i} + _A62 * k2_{i}'
+                                                 ' + _A63 * k3_{i} + _A64 * k4_{i} + _A65 * k5_{i})')}])
+        {each('z{i}')}, = y_new = [{each('y{i} + sh * (_B1 * k1_{i} + _B3 * k3_{i}'
+                                       ' + _B4 * k4_{i} + _B5 * k5_{i} + _B6 * k6_{i})')}]
+        {each('k7_{i}')}, = k7 = f(t_new, y_new)
+        if not ({' and '.join([each(f'math.isfinite({k}{{i}})', ' and ')
+                               for k in ('k2_', 'k3_', 'k4_', 'k5_', 'k6_', 'k7_', 'z')])}):
+            raise NonFiniteRHS(t_new)
+        err = math.sqrt(sum([{each('(r := h * (_E1 * k1_{i} + _E3 * k3_{i} + _E4 * k4_{i} + _E5 * k5_{i}'
+                                   ' + _E6 * k6_{i} + _E7 * k7_{i}) / (atol + rtol * max(abs(y{i}), abs(z{i})))) * r')}]) / {n})
+        if err > 1.0:
+            h *= max(0.2, _SAFETY * err**-0.2)
+            continue
+        step = (t, sh, y, (k1, k2, k3, k4, k5, k6, k7))
+        t, y, k1 = t_new, y_new, k7
+        if on_step is None:
+            taken.append(step)
+        elif on_step(Segment(*step), t):
+            break
+        if last:
+            break
+        factor = _SAFETY * err**-_EXPO * err_prev**_BETA if err > 0.0 else 10.0
+        h *= min(10.0, max(0.2, factor))
+        err_prev = max(err, 1e-10)
+    else:
+        raise StepBudgetExceeded(t, max_steps)
+    return t, y
+"""
+    name = f"<trivortex.integrate step loop n={n}>"
+    linecache.cache[name] = (len(source), None, source.splitlines(True), name)  # for tracebacks
+    exec(compile(source, name, "exec"), globals(), scope := {})
+    return scope["step_loop"]
+
+
 def integrate(
     f: RHS,
     y0: FloatArray | Sequence[float],
@@ -151,12 +214,12 @@ def integrate(
 ) -> Trajectory:
     """Integrate y' = f(t, y) from opts.t0 to opts.t_end.
 
-    ``f`` takes the state as a list of floats and returns a float sequence
-    (an ndarray is read with ``tolist()``).  Negative spans are allowed;
-    samples are returned in increasing time either way.  Raises
-    StepSizeUnderflow when the controller pushes a step short of the span's
-    end below 1e-14, StepBudgetExceeded after ``max_steps`` step attempts,
-    and NonFiniteRHS when the vector field stops being finite.
+    ``f`` takes the state as a list of floats and returns as many floats (an
+    ndarray is read with ``tolist()``, another count raises ValueError).
+    Negative spans are allowed; samples are returned in increasing time either
+    way.  Raises StepSizeUnderflow when the controller pushes a step short of
+    the span's end below 1e-14, StepBudgetExceeded after ``max_steps`` step
+    attempts, and NonFiniteRHS when the vector field stops being finite.
 
     ``on_step(step, t)`` receives each accepted step and the time it
     reached, and ends the run by returning True.  The run then keeps only
@@ -170,6 +233,8 @@ def integrate(
     k1 = f(t, y)
     if type(k1) is np.ndarray:
         f, k1 = (lambda t, y, field=f: field(t, y).tolist()), k1.tolist()
+    if len(k1) != len(y):
+        raise ValueError(f"the field gave {len(k1)} rates for a state of {len(y)} floats")
     if not all(map(math.isfinite, k1)):
         raise NonFiniteRHS(t)
 
@@ -178,58 +243,8 @@ def integrate(
 
     rtol, atol = opts.rtol, opts.atol
     h = _initial_step(f, t, y, k1, s, rtol, atol, span)
-    err_prev = 1e-4
     first, taken = (t, y), []  # the run's start and, without on_step, its steps
-    nsteps = 0
-
-    while True:
-        nsteps += 1
-        if nsteps > opts.max_steps:
-            raise StepBudgetExceeded(t, opts.max_steps)
-        last = h >= abs(t_end - t)
-        if last:
-            h = abs(t_end - t)
-        elif h < _MIN_STEP:
-            raise StepSizeUnderflow(t, h)
-        sh = s * h
-        t_new = t_end if last else t + sh
-
-        k2 = f(t + sh * _C2, [v + sh * (_A21 * a) for v, a in zip(y, k1)])
-        k3 = f(t + sh * _C3, [v + sh * (_A31 * a + _A32 * b) for v, a, b in zip(y, k1, k2)])
-        k4 = f(t + sh * _C4, [v + sh * (_A41 * a + _A42 * b + _A43 * c)
-                              for v, a, b, c in zip(y, k1, k2, k3)])
-        k5 = f(t + sh * _C5, [v + sh * (_A51 * a + _A52 * b + _A53 * c + _A54 * d)
-                              for v, a, b, c, d in zip(y, k1, k2, k3, k4)])
-        k6 = f(t + sh, [v + sh * (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
-                        for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
-        y_new = [v + sh * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * g)
-                 for v, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)]
-        k7 = f(t_new, y_new)
-        if not all(map(math.isfinite, (*k2, *k3, *k4, *k5, *k6, *k7, *y_new))):
-            raise NonFiniteRHS(t_new)
-
-        err = _rms([
-            h * (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * g + _E7 * q)
-            / (atol + rtol * max(abs(u), abs(v)))
-            for u, v, a, c, d, e, g, q in zip(y, y_new, k1, k3, k4, k5, k6, k7)
-        ])
-
-        if err > 1.0:
-            h *= max(0.2, _SAFETY * err**-0.2)
-            continue
-
-        step = (t, sh, y, (k1, k2, k3, k4, k5, k6, k7))
-        t, y, k1 = t_new, y_new, k7
-        if on_step is None:
-            taken.append(step)
-        elif on_step(Segment(*step), t):
-            break
-
-        if last:
-            break
-        factor = _SAFETY * err**-_EXPO * err_prev**_BETA if err > 0.0 else 10.0
-        h *= min(10.0, max(0.2, factor))
-        err_prev = max(err, 1e-10)
+    t, y = _stepper(len(y))(f, t, y, k1, h, t_end, s, rtol, atol, opts.max_steps, on_step, taken)
 
     ts_arr, ys_arr, steps = np.array((first[0], t)), np.array((first[1], y)), None
     if taken:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import importlib
 import math
+import traceback
 
 import numpy as np
 import pytest
@@ -10,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trivortex.core import conserved, flat_rhs
-from trivortex.errors import StepBudgetExceeded, StepSizeUnderflow
-from trivortex.integrate import IntegratorOptions, Trajectory, integrate
+from trivortex.errors import NonFiniteRHS, StepBudgetExceeded, StepSizeUnderflow
+from trivortex.integrate import IntegratorOptions, Segment, Trajectory, integrate
 from trivortex.reduction import (
     HYPERBOLOID,
     SPHERE,
@@ -388,3 +390,183 @@ def test_rhs_calls_are_six_per_attempt_plus_two(max_steps):
     with pytest.raises(StepBudgetExceeded):
         integrate(f, y0, IntegratorOptions(t_end=1e4, max_steps=max_steps))
     assert calls[0] == 6 * max_steps + 2
+
+
+@pytest.mark.parametrize("on_step", [False, True])
+@pytest.mark.parametrize("rates", [2, 4])
+def test_field_of_the_wrong_length_is_refused(rates, on_step):
+    # zip would integrate the shorter of field and state and stop at the end
+    def f(t, y):
+        return [-v for v in (y * 2)[:rates]]
+
+    with pytest.raises(ValueError, match=f"{rates} rates for a state of 3 floats"):
+        integrate(f, [1.0, 2.0, 3.0], IntegratorOptions(t_end=1.0),
+                  on_step=(lambda step, t: False) if on_step else None)
+
+
+# The list-comprehension step loop the per-length loops replaced, kept as a
+# float reference: the module's own tableau, start step and checks, one
+# comprehension over the components per stage.
+_ti = importlib.import_module("trivortex.integrate")
+
+
+def _comprehension_integrate(f, y0, opts, on_step=None):
+    """(accepted steps as (t0, h, y0, k), final t, final y); ``on_step`` as
+    in ``integrate``."""
+    y = np.asarray(y0, dtype=np.float64).ravel().tolist()
+    t, t_end = float(opts.t0), float(opts.t_end)
+    span = abs(t_end - t)
+    s = 1.0 if t_end >= t else -1.0
+    k1 = f(t, y)
+    if type(k1) is np.ndarray:
+        f, k1 = (lambda t, y, field=f: field(t, y).tolist()), k1.tolist()
+    if not all(map(math.isfinite, k1)):
+        raise NonFiniteRHS(t)
+    if span == 0.0:
+        return [], t, y
+    g, rtol, atol = _ti, opts.rtol, opts.atol
+    h = g._initial_step(f, t, y, k1, s, rtol, atol, span)
+    err_prev, taken = 1e-4, []
+    for _ in range(opts.max_steps):
+        last = h >= abs(t_end - t)
+        if last:
+            h = abs(t_end - t)
+        elif h < g._MIN_STEP:
+            raise StepSizeUnderflow(t, h)
+        sh = s * h
+        t_new = t_end if last else t + sh
+        k2 = f(t + sh * g._C2, [v + sh * (g._A21 * a) for v, a in zip(y, k1)])
+        k3 = f(t + sh * g._C3, [v + sh * (g._A31 * a + g._A32 * b)
+                                for v, a, b in zip(y, k1, k2)])
+        k4 = f(t + sh * g._C4, [v + sh * (g._A41 * a + g._A42 * b + g._A43 * c)
+                                for v, a, b, c in zip(y, k1, k2, k3)])
+        k5 = f(t + sh * g._C5, [v + sh * (g._A51 * a + g._A52 * b + g._A53 * c + g._A54 * d)
+                                for v, a, b, c, d in zip(y, k1, k2, k3, k4)])
+        k6 = f(t + sh, [v + sh * (g._A61 * a + g._A62 * b + g._A63 * c + g._A64 * d
+                                  + g._A65 * e)
+                        for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
+        y_new = [v + sh * (g._B1 * a + g._B3 * c + g._B4 * d + g._B5 * e + g._B6 * q)
+                 for v, a, c, d, e, q in zip(y, k1, k3, k4, k5, k6)]
+        k7 = f(t_new, y_new)
+        if not all(map(math.isfinite, (*k2, *k3, *k4, *k5, *k6, *k7, *y_new))):
+            raise NonFiniteRHS(t_new)
+        err = g._rms([
+            h * (g._E1 * a + g._E3 * c + g._E4 * d + g._E5 * e + g._E6 * q + g._E7 * w)
+            / (atol + rtol * max(abs(u), abs(v)))
+            for u, v, a, c, d, e, q, w in zip(y, y_new, k1, k3, k4, k5, k6, k7)
+        ])
+        if err > 1.0:
+            h *= max(0.2, g._SAFETY * err**-0.2)
+            continue
+        taken.append((t, sh, y, (k1, k2, k3, k4, k5, k6, k7)))
+        t, y, k1 = t_new, y_new, k7
+        if on_step is not None and on_step(Segment(*taken[-1]), t):
+            break
+        if last:
+            break
+        factor = g._SAFETY * err**-g._EXPO * err_prev**g._BETA if err > 0.0 else 10.0
+        h *= min(10.0, max(0.2, factor))
+        err_prev = max(err, 1e-10)
+    else:
+        raise StepBudgetExceeded(t, opts.max_steps)
+    return taken, t, y
+
+
+def _hex(x):
+    """Every float of a number or a nesting of sequences, as float.hex."""
+    if isinstance(x, (float, int, np.floating)):
+        return float(x).hex()
+    return [_hex(v) for v in x]
+
+
+def _decay(t, y):
+    # n = 1, forced
+    return [math.cos(3.0 * t) - 0.1 * y[0]]
+
+
+def _four_vortices(rng):
+    g = [1.0, -0.7, 0.5, 1.2]
+    return flat_rhs(g), rng.uniform(-2.0, 2.0, size=8).tolist(), 6.0
+
+
+EXACT = {
+    **PROBLEMS,
+    "decay": lambda rng: (_decay, [0.3], 10.0),
+    "four-vortices": _four_vortices,
+    "oscillator-ndarray": lambda rng: (_oscillator, [1.0, 0.0], 6.0),
+}
+
+
+@pytest.mark.parametrize("backward", [False, True])
+@pytest.mark.parametrize("name", sorted(EXACT))
+def test_step_loop_matches_the_comprehension_loop_bit_for_bit(name, backward):
+    field, y0, t_end = EXACT[name](np.random.default_rng(5))
+    opts = IntegratorOptions(t0=t_end, t_end=0.0) if backward else IntegratorOptions(t_end=t_end)
+    steps, t, y = _comprehension_integrate(field, y0, opts)
+    traj = integrate(field, y0, opts)
+    assert _hex(traj.ys[0 if backward else -1]) == _hex(y)
+    s = traj.steps
+    assert _hex(s.t0) == _hex([p[0] for p in steps])
+    assert _hex(s.h) == _hex([p[1] for p in steps])
+    assert _hex(s.y0) == _hex([p[2] for p in steps])
+    assert _hex(s.k) == _hex([p[3] for p in steps])
+    # dense output is read off those steps, so it matches too
+    ref = Segment(*(np.array(c) for c in zip(*steps)))
+    ts = np.linspace(0.0, t_end, 41)
+    idx = np.clip(np.searchsorted(np.sort(traj.ts)[1:-1], ts, side="right"), 0, len(steps) - 1)
+    if backward:
+        idx = len(steps) - 1 - idx
+    want = Segment(ref.t0[idx], ref.h[idx], ref.y0[idx], ref.k[idx]).eval(ts)
+    assert traj.interpolate(ts).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", ["lab-gamma-1.0", "reduced-hyperboloid-heading", "decay"])
+def test_step_consumer_and_early_stop_match_the_comprehension_loop(name):
+    field, y0, t_end = EXACT[name](np.random.default_rng(6))
+    opts = IntegratorOptions(t_end=t_end)
+    for stop in (math.inf, 0.5 * t_end):
+        seen, ref = [], []
+        traj = integrate(field, y0, opts, on_step=lambda step, t: seen.append(step) or t > stop)
+        _, t, y = _comprehension_integrate(
+            field, y0, opts, on_step=lambda step, t: ref.append(step) or t > stop)
+        assert _hex([(p.t0, p.h, p.y0, p.k) for p in seen]) == _hex(
+            [(p.t0, p.h, p.y0, p.k) for p in ref])
+        assert _hex(traj.ts.tolist()) == _hex([0.0, t]) and _hex(traj.ys[-1]) == _hex(y)
+
+
+def test_rejected_steps_match_the_comprehension_loop():
+    # at rtol 1e-13 the controller rejects some of the steps of this run
+    opts = IntegratorOptions(t_end=10.0, rtol=1e-13, atol=1e-13)
+    f, calls = _counting(_decay)
+    steps, _, y = _comprehension_integrate(f, [0.3], opts)
+    assert (calls[0] - 2) // 6 > len(steps)
+    traj = integrate(_decay, [0.3], opts)
+    assert _hex(traj.steps.t0) == _hex([p[0] for p in steps])
+    assert _hex(traj.steps.k) == _hex([p[3] for p in steps])
+    assert _hex(traj.ys[-1]) == _hex(y)
+
+
+def _nan_after(t_bad):
+    def f(t, y):
+        return [math.nan if abs(t) > t_bad else -y[1], y[0]]
+    return f
+
+
+@pytest.mark.parametrize("error, field, y0, opts", [
+    (StepBudgetExceeded, flat_rhs([1.0, -1.0]), [0.0, 0.5, 0.0, -0.5],
+     IntegratorOptions(t_end=100.0, max_steps=3)),
+    (StepSizeUnderflow, lambda t, y: [1.0 / (0.5 - t)], [0.0], IntegratorOptions(t_end=1.0)),
+    (NonFiniteRHS, _nan_after(1.3), [1.0, 0.0], IntegratorOptions(t_end=4.0)),
+    (NonFiniteRHS, _nan_after(1.3), [1.0, 0.0], IntegratorOptions(t_end=-4.0)),
+])
+def test_failures_come_at_the_comprehension_loops_time(error, field, y0, opts):
+    with pytest.raises(error) as want:
+        _comprehension_integrate(field, y0, opts)
+    with pytest.raises(error) as got:
+        integrate(field, y0, opts)
+    assert str(got.value) == str(want.value)
+    assert got.value.t.hex() == want.value.t.hex()
+    # the traceback shows the generated loop's line that raised
+    frame = traceback.extract_tb(got.value.__traceback__)[-1]
+    assert frame.filename.startswith("<trivortex.integrate step loop n=")
+    assert frame.line.startswith(f"raise {error.__name__}(")
