@@ -147,9 +147,8 @@ def _initial_step(
 
 @functools.lru_cache(maxsize=16)
 def _stepper(n: int):
-    """The step loop for a state of n floats, compiled once per n.  ``each``
-    writes an expression out per component i (yi, the new zi, slope j's kj_i),
-    so the loop makes a component loop's float operations in the same order."""
+    """The step loop for n floats, compiled once per n: ``each`` writes an expression
+    out per component (yi, new zi, slope j's kj_i), in a component loop's float order."""
     def each(expr, sep=", "):
         return sep.join([expr.format(i=i) for i in range(n)])
 
@@ -180,8 +179,9 @@ def step_loop(f, t, y, k1, h, t_end, s, rtol, atol, max_steps, on_step, taken):
         if not ({' and '.join([each(f'math.isfinite({k}{{i}})', ' and ')
                                for k in ('k2_', 'k3_', 'k4_', 'k5_', 'k6_', 'k7_', 'z')])}):
             raise NonFiniteRHS(t_new)
-        err = math.sqrt(sum([{each('(r := h * (_E1 * k1_{i} + _E3 * k3_{i} + _E4 * k4_{i} + _E5 * k5_{i}'
-                                   ' + _E6 * k6_{i} + _E7 * k7_{i}) / (atol + rtol * max(abs(y{i}), abs(z{i})))) * r')}]) / {n})
+        err = math.sqrt(sum([{each('(r := h * (_E1 * k1_{i} + _E3 * k3_{i} + _E4 * k4_{i}'
+                                   ' + _E5 * k5_{i} + _E6 * k6_{i} + _E7 * k7_{i})'
+                                   ' / (atol + rtol * max(abs(y{i}), abs(z{i})))) * r')}]) / {n})
         if err > 1.0:
             h *= max(0.2, _SAFETY * err**-0.2)
             continue
