@@ -128,14 +128,18 @@ def _three_vortex_rhs(y: list[float], g: Sequence[float]) -> list[float]:
     and changes no bit of such a sum, and two nonzero terms add alike in
     either order, so each row is ``0.0 + a + b`` over the other two columns.
     d[j, i] = -d[i, j] and rho2[j, i] = rho2[i, j] exactly, up to the sign
-    of a zero offset, which the +0.0 start absorbs.
+    of a zero offset, which the +0.0 start absorbs.  One sum screens the nine
+    values; only a sum that is not finite sends them through the validators.
     """
-    if not all(map(math.isfinite, y)):
-        raise ValueError("positions contain non-finite values")
-    if not all(map(math.isfinite, g)):
-        raise ValueError("circulations contain non-finite values")
     x0, y0, x1, y1, x2, y2 = y
     g0, g1, g2 = g
+    try:  # NumPy scalars, floats too, may raise a RuntimeWarning here as an error
+        finite = math.isfinite(x0 + y0 + x1 + y1 + x2 + y2 + g0 + g1 + g2)
+    except RuntimeWarning:
+        finite = False
+    if not finite:  # the validators' checks and messages, positions first
+        as_positions(np.reshape(y, (3, 2)))
+        as_circulations(g)
     dx01, dy01 = x0 - x1, y0 - y1
     dx02, dy02 = x0 - x2, y0 - y2
     dx12, dy12 = x1 - x2, y1 - y2
@@ -160,9 +164,9 @@ def _three_vortex_rhs(y: list[float], g: Sequence[float]) -> list[float]:
 
 
 def window_kernel(ys: FloatArray, g: FloatArray) -> tuple:
-    """pair_kernel and invariants of an (M, 6) stack of three-vortex states,
-    bit for bit, in one pass over its coordinate columns: velocities (M, 3, 2),
-    the smallest squared pair distance, then H, Theta and M.  Rows follow
+    """pair_kernel's ``v[:, 2]`` as columns (u, v), the smallest squared pair
+    distance, then invariants' H, Theta and M of an (M, 6) stack of three-vortex
+    states, bit for bit, in one pass over its coordinate columns.  Rows follow
     ``_three_vortex_rhs``; a coincidence names the first state at the global
     minimum, as argmin does, and a NaN distance raises nothing and is returned."""
     x0, y0, x1, y1, x2, y2 = ys.T
@@ -179,18 +183,14 @@ def window_kernel(ys: FloatArray, g: FloatArray) -> tuple:
         m = int(np.argmin(closest))
         (i, j), r = min(((0, 1), r01[m]), ((0, 2), r02[m]), ((1, 2), r12[m]), key=lambda p: p[1])
         raise CoincidentVortices(i, j, math.sqrt(r))
-    w01, w02, w12 = g1 / r01, g2 / r02, g2 / r12
-    w10, w20, w21 = g0 / r01, g0 / r02, g1 / r12
-    v = np.stack((
-        -(0.0 + w01 * dy01 + w02 * dy02), 0.0 + w01 * dx01 + w02 * dx02,
-        -(0.0 + w10 * -dy01 + w12 * dy12), 0.0 + w10 * -dx01 + w12 * dx12,
-        -(0.0 + w20 * -dy02 + w21 * -dy12), 0.0 + w20 * -dx02 + w21 * -dx12,
-    ), axis=-1).reshape(-1, 3, 2)
+    w20, w21 = g0 / r02, g1 / r12
+    u = -(0.0 + w20 * -dy02 + w21 * -dy12)
+    v = 0.0 + w20 * -dx02 + w21 * -dx12
     # NumPy's sum over the (0, 1), (0, 2), (1, 2) terms also starts from +0.0
     h = -0.5 * (0.0 + g0 * g1 * np.log(r01) + g0 * g2 * np.log(r02) + g1 * g2 * np.log(r12))
     x = ys.reshape(-1, 3, 2)
     m = np.stack((_dot(x[..., 0], g), _dot(x[..., 1], g)), axis=-1)
-    return v, r_min, h, _dot(x[..., 0] ** 2 + x[..., 1] ** 2, g), m
+    return (u, v), r_min, h, _dot(x[..., 0] ** 2 + x[..., 1] ** 2, g), m
 
 
 def hamiltonian(

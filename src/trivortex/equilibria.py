@@ -82,7 +82,14 @@ def jacobian(
     if residual > _RESIDUAL_TOL * scale:
         raise NotAnEquilibrium(residual)
 
-    hx, hz, hxx, hxz, hzz = reduced_gradients(spec, X, Z, point.theta)
+    hx, hz = reduced_gradients(spec, X, Z, point.theta)
+    hxx = hxz = hzz = 0.0  # the Hessian, whose only use is here
+    for t in spec.terms:
+        A = t.arg(X, Z, point.theta)
+        w2 = t.c / (A * A)
+        hxx -= w2 * t.a * t.a
+        hxz -= w2 * t.a * t.b
+        hzz -= w2 * t.b * t.b
     s = 1.0 if spec.geometry == SPHERE else -1.0
     jac = np.array(
         [

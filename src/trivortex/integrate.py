@@ -83,12 +83,15 @@ class Segment:
         """The interpolant at a time, (n,), or an array of times, (..., n);
         stacked steps take one time each.  K^T P is one batched product and
         the rest elementwise, so a time gives the same bits alone or in an array."""
-        u = np.asarray((t - self.t0) / self.h)[..., None]
-        u2 = u * u
-        c = np.swapaxes(self.k, -1, -2) @ _P
-        return self.y0 + np.asarray(self.h)[..., None] * (
-            c[..., 0] * u + c[..., 1] * u2 + c[..., 2] * (u2 * u) + c[..., 3] * (u2 * u2)
-        )
+        return _quartic(t, self.t0, self.h, self.y0, np.swapaxes(self.k, -1, -2) @ _P)
+
+
+def _quartic(t, t0, h, y0, c) -> FloatArray:  # the interpolant, given c = K^T P
+    u = np.asarray((t - t0) / h)[..., None]
+    u2 = u * u
+    return y0 + np.asarray(h)[..., None] * (
+        c[..., 0] * u + c[..., 1] * u2 + c[..., 2] * (u2 * u) + c[..., 3] * (u2 * u2)
+    )
 
 
 @dataclass(slots=True)
@@ -119,6 +122,10 @@ class Trajectory:
         idx = np.searchsorted(self.ts[1:-1], t, side="right")
         if s.h[0] < 0.0:
             idx = len(s.h) - 1 - idx  # backward run: the last step starts at ts[0]
+        if t.ndim:  # an array forms K^T P once per step its times fall in
+            steps, at = np.unique(idx.ravel(), return_inverse=True)
+            c = (np.swapaxes(s.k[steps], -1, -2) @ _P)[at.reshape(idx.shape)]
+            return _quartic(t, s.t0[idx], s.h[idx], s.y0[idx], c)
         return Segment(s.t0[idx], s.h[idx], s.y0[idx], s.k[idx]).eval(t)
 
 

@@ -270,13 +270,13 @@ def reduced_hamiltonian(spec: ReducedSystemSpec, s: NambuState):
 
 def reduced_gradients(
     spec: ReducedSystemSpec, X: float, Z: float, Theta: float
-) -> tuple[float, float, float, float, float]:
-    """(H_X, H_Z, H_XX, H_XZ, H_ZZ) of the selected Hamiltonian.
+) -> tuple[float, float]:
+    """(H_X, H_Z) of the selected Hamiltonian.
 
     The Y-derivative is identically zero for every selector, which is what
     collapses the evolution to the template used in ``nambu_rhs``.
     """
-    hx = hz = hxx = hxz = hzz = 0.0
+    hx = hz = 0.0
     for t in spec.terms:
         A = t.arg(X, Z, Theta)
         if A <= 0.0:
@@ -284,11 +284,7 @@ def reduced_gradients(
         w = t.c / A
         hx += w * t.a
         hz += w * t.b
-        w2 = t.c / (A * A)
-        hxx -= w2 * t.a * t.a
-        hxz -= w2 * t.a * t.b
-        hzz -= w2 * t.b * t.b
-    return hx, hz, hxx, hxz, hzz
+    return hx, hz
 
 
 def _rhs_from_gradients(
@@ -301,7 +297,7 @@ def _rhs_from_gradients(
 
 def nambu_rhs(spec: ReducedSystemSpec, s: NambuState) -> tuple[float, float, float]:
     """Shape-point velocity (dX/dt, dY/dt, dZ/dt)."""
-    hx, hz, *_ = reduced_gradients(spec, s.X, s.Z, s.Theta)
+    hx, hz = reduced_gradients(spec, s.X, s.Z, s.Theta)
     return _rhs_from_gradients(spec.geometry, s.X, s.Y, s.Z, hx, hz)
 
 
@@ -312,7 +308,7 @@ def reduced_rhs_flat(spec: ReducedSystemSpec, theta: float):
 
     def f(t: float, y: Sequence[float]) -> tuple[float, float, float]:
         X, Y, Z = y
-        hx, hz, *_ = reduced_gradients(spec, X, Z, theta)
+        hx, hz = reduced_gradients(spec, X, Z, theta)
         return _rhs_from_gradients(geometry, X, Y, Z, hx, hz)
 
     return f

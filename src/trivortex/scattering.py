@@ -35,6 +35,7 @@ ESCAPE_DISTANCE = 50.0
 HEADING_TOL = 1e-4
 
 DEFAULT_TIME_BUDGET = 1.0e5
+_NODE_FRACTIONS = np.array([0.25, 0.5, 0.75, 1.0])  # a window's nodes on a piece of a step
 
 SWEEP_COLUMNS = ("rho", "Theta", "delta_alpha", "outcome", "flags")
 
@@ -133,6 +134,14 @@ def _partner(pos: FloatArray) -> tuple[int, float]:
     return partner, float(d[partner])
 
 
+def _unwrap(prev: float, raw: FloatArray) -> FloatArray:
+    """np.unwrap(np.concatenate(([prev], raw)))[1:], in its float operations."""
+    dd = raw - np.concatenate(([prev], raw[:-1]))
+    ddmod = np.mod(dd + math.pi, math.tau) - math.pi
+    ddmod[(ddmod == -math.pi) & (dd > 0.0)] = math.pi
+    return raw + np.where(np.abs(dd) < math.pi, 0.0, ddmod - dd).cumsum()
+
+
 class _Accumulator:
     """Step consumer of one scattering run.
 
@@ -192,7 +201,7 @@ class _Accumulator:
         t0, h, a, b = np.fromiter(self.times, np.float64).reshape(-1, 4).T
         y0 = np.fromiter(self.y0s, np.float64).reshape(-1, 6)
         k = np.fromiter(self.ks, np.float64).reshape(-1, 7, 6)
-        nodes_t = a[:, None] + (b - a)[:, None] * np.array([0.25, 0.5, 0.75, 1.0])
+        nodes_t = a[:, None] + (b - a)[:, None] * _NODE_FRACTIONS
         nodes_t[:, -1] = b
         # each piece's step, broadcast over its four node times
         nodes = Segment(t0[:, None], h[:, None], y0[:, None], k[:, None])
@@ -221,18 +230,18 @@ class _Accumulator:
     def feed(self, ts: FloatArray, ys: FloatArray) -> FloatArray:
         """Reduce one window of nodes, whose first node closed the previous
         window; returns their unwrapped headings."""
-        v, rho2_min, h_arr, th_arr, m_arr = window_kernel(ys, self.g)
-        raw = np.arctan2(v[:, 2, 1], v[:, 2, 0])
+        (u, v), rho2_min, h_arr, th_arr, m_arr = window_kernel(ys, self.g)
+        raw = np.arctan2(v, u)
         if self.launch_heading is None:
             self.launch_heading = self.prev_heading = float(raw[0])
-        headings = np.unwrap(np.concatenate(([self.prev_heading], raw)))[1:]
+        headings = _unwrap(self.prev_heading, raw)
         self.prev_heading = float(headings[-1])
         self.delta_alpha = self.prev_heading - self.launch_heading
 
         # windows share their boundary node: each neighbouring pair is tested once
         x, y, _, _ = shape_map(ys.reshape(-1, 3, 2), self.spec)
-        self.x_cross += int(np.sum(x[1:] * x[:-1] < 0.0))
-        self.y_cross += int(np.sum(y[1:] * y[:-1] < 0.0))
+        self.x_cross += int(np.count_nonzero(x[1:] * x[:-1] < 0.0))
+        self.y_cross += int(np.count_nonzero(y[1:] * y[:-1] < 0.0))
         self.x_max = max(self.x_max, float(x.max()))
 
         if self.alpha_reduced is not None and self.theta != 0.0:
@@ -247,9 +256,9 @@ class _Accumulator:
         self.min_distance = min(self.min_distance, float(np.sqrt(rho2_min)))
         h0, th0, m0 = self.ref
         drifts = (
-            float(np.max(np.abs(h_arr - h0))) / max(1.0, abs(float(h0))),
-            float(np.max(np.abs(th_arr - th0))) / max(1.0, abs(float(th0))),
-            float(np.max(np.abs(m_arr - m0))),
+            float(np.abs(h_arr - h0).max()) / max(1.0, abs(float(h0))),
+            float(np.abs(th_arr - th0).max()) / max(1.0, abs(float(th0))),
+            float(np.abs(m_arr - m0).max()),
         )
         self.drift = tuple(map(max, self.drift, drifts))
         return headings
@@ -357,11 +366,11 @@ def sweep(
     Rows are independent; they are computed (optionally in parallel, on at
     most one worker per row and per CPU) and always reported in the order
     the offsets were given.  A row that hits the time budget is flagged
-    rather than aborting the sweep.  Raises BadSetup unless ``jobs`` is at
-    least 1.
+    rather than aborting the sweep.  Raises BadSetup unless ``jobs`` is an
+    integer of at least 1.
     """
-    if not jobs >= 1:
-        raise BadSetup(f"jobs must be at least 1, got {jobs}")
+    if not (isinstance(jobs, (int, np.integer)) and jobs >= 1):
+        raise BadSetup(f"jobs must be an integer of at least 1, got {jobs!r}")
     base = opts if opts is not None else IntegratorOptions()
     payloads = [
         (ScatteringSetup(float(r), gamma, launch, spacing), base, t_max)

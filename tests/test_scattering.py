@@ -392,6 +392,22 @@ REFERENCE_RUNS = [
 ]
 
 
+_angle = st.one_of(
+    st.floats(-4.0 * math.pi, 4.0 * math.pi),
+    st.sampled_from((0.0, -0.0, math.pi, -math.pi, 2.0 * math.pi, -2.0 * math.pi)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(prev=_angle, raw=st.lists(_angle, min_size=1, max_size=12))
+def test_unwrap_is_numpy_unwrap_bit_for_bit(prev, raw):
+    # exact +/-pi steps take the boundary branches; a NaN spreads as in np.unwrap
+    for values in (raw, [*raw, math.nan, *raw]):
+        raw_arr = np.array(values)
+        want = np.unwrap(np.concatenate(([prev], raw_arr)))[1:]
+        assert scattering._unwrap(prev, raw_arr).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("setup, kw", REFERENCE_RUNS)
 def test_window_reduction_is_bit_identical_to_the_reference(setup, kw, monkeypatch):
     fast = run(ScatteringSetup(**setup), **kw)
@@ -500,6 +516,27 @@ def test_sweep_rows_keep_the_callers_step_budget(jobs):
 def test_sweep_rejects_job_counts_below_one(jobs):
     with pytest.raises(BadSetup):
         sweep([2.5], jobs=jobs)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+@pytest.mark.parametrize("jobs", [2.5, 2.0, 1.0, math.inf, math.nan, "2", None])
+def test_sweep_rejects_a_job_count_that_is_no_integer_on_any_host(jobs, cpus, monkeypatch):
+    # the pool is never reached: the count is refused before any row runs
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(scattering.os, "cpu_count", lambda: cpus)
+    _RecordingPool.sizes = []
+    with pytest.raises(BadSetup, match="integer"):
+        sweep([1.0, 2.0, 3.0], launch=5.0, jobs=jobs)
+    assert _RecordingPool.sizes == []
+
+
+def test_sweep_takes_a_numpy_integer_job_count(monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(scattering.os, "cpu_count", lambda: 4)
+    _RecordingPool.sizes = []
+    _, rows = sweep([1.0, 2.0, 3.0], launch=5.0, jobs=np.int64(2))
+    assert _RecordingPool.sizes == [2]
+    assert [r[4] for r in rows] == ["error:BadSetup"] * 3
 
 
 def test_run_raises_when_budget_too_small():
