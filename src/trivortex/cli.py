@@ -147,7 +147,6 @@ def _emit(ns, columns, rows) -> None:
 # a row template's spelling per cell type: "%.17g" prints nan, inf, -inf and -0
 # as format(x, ".17g") does, and "%d" prints an int as str(n)
 _SPELLINGS = {float: "%.17g", np.float64: "%.17g", int: "%d"}
-_NUMBERS = frozenset(_SPELLINGS)
 
 
 def _render(ns, columns, rows) -> str:
@@ -160,20 +159,9 @@ def _render(ns, columns, rows) -> str:
     payload = {
         "config": {k: v for k, v in vars(ns).items() if k != "out"},
         "columns": list(columns),
-        "rows": [_json_row(row) for row in rows],
+        "rows": [[_cell(c) for c in row] for row in rows],
     }
     return json.dumps(payload, sort_keys=True, allow_nan=False) + "\n"
-
-
-def _json_row(row):
-    # json prints a finite float, np.float64 too, and an int as _cell
-    # returns them, so such a row goes in as it is
-    try:
-        if _NUMBERS.issuperset(map(type, row)) and all(map(math.isfinite, row)):
-            return row
-    except OverflowError:  # an int past the float range takes _cell
-        pass
-    return [_cell(c) for c in row]
 
 
 def _render_csv(columns, rows, table) -> str:

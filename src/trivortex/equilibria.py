@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NotAnEquilibrium
+from .errors import NonFiniteResult, NotAnEquilibrium
 from .reduction import (
     HYPERBOLOID,
     SPHERE,
@@ -301,23 +301,31 @@ def critical_rho(gamma: float) -> tuple[float, float | None]:
     equates the incoming pair's energy with the collinear saddle's level;
     it exists only above the saddle-node threshold sqrt(3)/2. Both values
     use the closed forms, with the leaf radius tied to the offset via
-    Theta = Gamma*(2*rho + 1).
+    Theta = Gamma*(2*rho + 1).  Raises NonFiniteResult where the upper
+    bound, about 2 e Gamma^2 for large Gamma, is not a finite float.
     """
     if not (gamma > 0.0) or not math.isfinite(gamma):
         raise ValueError("Gamma must be positive and finite")
     g = gamma
-    # collinear saddle on the Theta = 1 leaf; scaling in Theta then gives
-    # the critical leaf in closed form
-    x1, exists, _ = _branches(g, 1.0)[0]["E_-1"]
+    # collinear saddle on a leaf th, a power of two near 1/Gamma so that no
+    # length overflows; every length scales exactly with th, and scaling in
+    # Theta then gives the critical leaf in closed form
+    th = 2.0 ** -math.frexp(g)[1]
+    x, exists, _ = _branches(g, th)[0]["E_-1"]
     if not exists:
         return (-1.0, None)
-    z1 = math.sqrt(1.0 + x1 * x1)
-    a1 = (z1 + 1.0) * (1.0 + g) / (2.0 * g)
-    d1 = (g * g + 1.0) * z1 + (1.0 - g * g) - 2.0 * g * x1
-    a2 = d1 / (2.0 * g * (1.0 + g))
-    a3 = g * (z1 + x1) / (1.0 + g)
-    theta_c = g * g * a1**g * a2 ** (-g) / a3
-    return (-1.0, (theta_c / g - 1.0) / 2.0)
+    z = math.sqrt(th * th + x * x)
+    # the saddle's log arguments are a1 = (z + th)(1 + G)/(2G), a2 and
+    # a3 = G (z + x)/(1 + G); the critical leaf is G^2 (a1/a2)^G th / a3.
+    # w = (z + x)/th is free of cancellation on either sign of x, and the
+    # power is taken from a1 - a2 = th (1 + w/(1 + G))
+    w = (z + x) / th if x >= 0.0 else th / (z - x)
+    a2 = ((g * g + 1.0) * z + (1.0 - g * g) * th - 2.0 * g * x) / (2.0 * g * (1.0 + g))
+    power = math.exp(g * math.log1p(th * (1.0 + w / (1.0 + g)) / a2))
+    rho = 0.5 * (1.0 + g) * power / w - 0.5
+    if not math.isfinite(rho):
+        raise NonFiniteResult(f"the critical offset at Gamma = {g!r} is past the float range")
+    return (-1.0, rho)
 
 
 def bifurcation_sweep(

@@ -44,6 +44,10 @@ class NonFiniteRHS(VortexError):
         super().__init__(f"non-finite derivative encountered at t={t!r}")
 
 
+class NonFiniteResult(VortexError):
+    """A closed form's value is not a finite float."""
+
+
 class InvalidTriangle(VortexError):
     """Squared side lengths violate the triangle inequality."""
 

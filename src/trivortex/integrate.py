@@ -122,11 +122,10 @@ class Trajectory:
         idx = np.searchsorted(self.ts[1:-1], t, side="right")
         if s.h[0] < 0.0:
             idx = len(s.h) - 1 - idx  # backward run: the last step starts at ts[0]
-        if t.ndim:  # an array forms K^T P once per step its times fall in
-            steps, at = np.unique(idx.ravel(), return_inverse=True)
-            c = (np.swapaxes(s.k[steps], -1, -2) @ _P)[at.reshape(idx.shape)]
-            return _quartic(t, s.t0[idx], s.h[idx], s.y0[idx], c)
-        return Segment(s.t0[idx], s.h[idx], s.y0[idx], s.k[idx]).eval(t)
+        # K^T P once per step the times fall in
+        steps, at = np.unique(idx.ravel(), return_inverse=True)
+        c = (np.swapaxes(s.k[steps], -1, -2) @ _P)[at.reshape(idx.shape)]
+        return _quartic(t, s.t0[idx], s.h[idx], s.y0[idx], c)
 
 
 def _rms(v: list[float]) -> float:
@@ -143,6 +142,8 @@ def _initial_step(
     d0 = _rms([v / c for v, c in zip(y0, scale)])
     d1 = _rms([v / c for v, c in zip(f0, scale)])
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    if not h0 > 0.0:  # d1 overflowed: the field is too fast for any step
+        raise StepSizeUnderflow(t0, h0)
     f1 = f(t0 + h0 * s, [v + h0 * s * d for v, d in zip(y0, f0)])
     d2 = _rms([(b - a) / c for a, b, c in zip(f0, f1, scale)]) / h0
     if max(d1, d2) <= 1e-15:

@@ -11,11 +11,11 @@ Theta^2 = X^2 + Y^2 + Z^2 when the third strength weight is positive and on
 the upper hyperboloid sheet Theta^2 = Z^2 - X^2 - Y^2 (Z >= 0) when it is
 negative.  Y = 0 picks out collinear configurations in both geometries.
 
-Reduced Hamiltonians here are sums of weighted logarithms of functions
-linear in (X, Z, Theta), so values, gradients and Hessians are evaluated
-from one table of coefficients.  Specialized selectors reproduce printed
-normalizations that drop additive constants; each selector records its
-offset from the lab energy so energy thresholds stay comparable.
+The reduced Hamiltonian is the lab energy written as a sum of weighted
+logarithms of functions linear in (X, Z, Theta), so values, gradients and
+Hessians are evaluated from one table of coefficients, the same for every
+strength triple.  The printed normalizations of the dipole families differ
+from the lab energy by a constant; each spec records it as its offset.
 """
 
 from __future__ import annotations
@@ -33,15 +33,6 @@ from .integrate import IntegratorOptions, Trajectory, integrate
 
 SPHERE = "sphere"
 HYPERBOLOID = "hyperboloid"
-
-SELECTORS = (
-    "general-positive",
-    "general-negative",
-    "specialized-111",
-    "specialized-11m1",
-    "specialized-gamma",
-)
-
 
 def _kappas(g: FloatArray) -> tuple[float, float, float]:
     g12 = g[0] + g[1]
@@ -146,9 +137,10 @@ class ReducedSystemSpec:
     """Frozen description of one reduced system.
 
     ``circulations`` are the relabeled strengths (first two positive, in
-    their original relative order).  ``offset`` is the additive constant by
-    which this selector's Hamiltonian exceeds the lab energy, so
-    printed-normalization values stay comparable across selectors.
+    their original relative order).  ``terms`` tabulate the lab energy.
+    ``selector`` names the family, and ``offset`` is its printed
+    normalization minus the lab energy: log 2 for (1, 1, -1), a function
+    of Gamma for (1, Gamma, -1) and 0 for every other triple.
     """
 
     circulations: tuple[float, float, float]
@@ -167,15 +159,9 @@ class ReducedSystemSpec:
 
     @classmethod
     def for_circulations(
-        cls,
-        circulations: FloatArray | Sequence[float],
-        selector: str | None = None,
+        cls, circulations: FloatArray | Sequence[float]
     ) -> "ReducedSystemSpec":
-        """Relabel, classify and tabulate the Hamiltonian terms.
-
-        The selector is detected from the relabeled strengths unless forced;
-        forcing is only allowed onto a selector whose family matches.
-        """
+        """Relabel, classify and tabulate the Hamiltonian terms."""
         g_in = as_circulations(circulations, 3)
         perm, rev, g = _relabel(g_in)
         k1, k2, k3 = _kappas(np.asarray(g))
@@ -183,63 +169,36 @@ class ReducedSystemSpec:
         def close(u: float, v: float) -> bool:
             return abs(u - v) <= 1e-12 * max(1.0, abs(v))
 
-        detected = "general-positive" if k2 > 0.0 else "general-negative"
-        if close(g[0], 1.0) and close(g[1], 1.0) and close(g[2], 1.0):
-            detected = "specialized-111"
-        elif close(g[0], 1.0) and close(g[2], -1.0) and g[1] > 0.0:
-            detected = "specialized-11m1" if close(g[1], 1.0) else "specialized-gamma"
-        if selector is None:
-            selector = detected
-        elif selector not in SELECTORS:
-            raise ValueError(f"unknown selector {selector!r}")
-        elif selector.startswith("specialized") and selector != detected:
-            raise ValueError(
-                f"selector {selector!r} does not fit circulations {g} "
-                f"(detected {detected!r})"
-            )
-
+        selector = "general-positive" if k2 > 0.0 else "general-negative"
         offset = 0.0
-        if selector == "specialized-11m1":
-            terms = (
-                _LogTerm(-0.5, 0.0, 1.0, 1.0, (0, 1)),
-                _LogTerm(+0.5, -1.0, 1.0, 0.0, (1, 2)),
-                _LogTerm(+0.5, +1.0, 1.0, 0.0, (0, 2)),
-            )
-            offset = math.log(2.0)
-        elif selector == "specialized-gamma":
+        if close(g[0], 1.0) and close(g[1], 1.0) and close(g[2], 1.0):
+            selector = "specialized-111"
+        elif close(g[0], 1.0) and close(g[2], -1.0) and g[1] > 0.0:
             G = g[1]
-            terms = (
-                _LogTerm(G / 2.0, -2.0 * G, G * G + 1.0, 1.0 - G * G, (1, 2)),
-                _LogTerm(-G / 2.0, 0.0, 1.0, 1.0, (0, 1)),
-                _LogTerm(+0.5, 1.0, 1.0, 0.0, (0, 2)),
-            )
-            offset = (
-                G * math.log(1.0 + G)
-                - 0.5 * math.log(G)
-                + 0.5 * math.log(1.0 + G)
-            )
-        else:
-            # exact lab-energy terms; the (1,1,1) printed form is already exact
-            mu = math.sqrt(k1 / abs(k2))
-            terms = (
-                _LogTerm(
-                    -g[0] * g[1] / 2.0, 0.0, 1.0 / (2 * k1), 1.0 / (2 * k1), (0, 1)
-                ),
-                _LogTerm(
-                    -g[1] * g[2] / 2.0,
-                    -mu / g[1],
-                    -1.0 / (2 * k2) + k1 / (2 * g[1] ** 2),
-                    +1.0 / (2 * k2) + k1 / (2 * g[1] ** 2),
-                    (1, 2),
-                ),
-                _LogTerm(
-                    -g[0] * g[2] / 2.0,
-                    +mu / g[0],
-                    -1.0 / (2 * k2) + k1 / (2 * g[0] ** 2),
-                    +1.0 / (2 * k2) + k1 / (2 * g[0] ** 2),
-                    (0, 2),
-                ),
-            )
+            if close(G, 1.0):
+                selector, offset = "specialized-11m1", math.log(2.0)
+            else:
+                selector = "specialized-gamma"
+                offset = G * math.log(1.0 + G) - 0.5 * math.log(G) + 0.5 * math.log(1.0 + G)
+
+        mu = math.sqrt(k1 / abs(k2))
+        terms = (
+            _LogTerm(-g[0] * g[1] / 2.0, 0.0, 1.0 / (2 * k1), 1.0 / (2 * k1), (0, 1)),
+            _LogTerm(
+                -g[1] * g[2] / 2.0,
+                -mu / g[1],
+                -1.0 / (2 * k2) + k1 / (2 * g[1] ** 2),
+                +1.0 / (2 * k2) + k1 / (2 * g[1] ** 2),
+                (1, 2),
+            ),
+            _LogTerm(
+                -g[0] * g[2] / 2.0,
+                +mu / g[0],
+                -1.0 / (2 * k2) + k1 / (2 * g[0] ** 2),
+                +1.0 / (2 * k2) + k1 / (2 * g[0] ** 2),
+                (0, 2),
+            ),
+        )
         return cls(
             circulations=g, kappa1=k1, kappa2=k2, kappa3=k3, selector=selector,
             offset=offset, terms=terms, permutation=perm, time_reversed=rev,
@@ -247,16 +206,16 @@ class ReducedSystemSpec:
 
 
 def reduced_energy(spec: ReducedSystemSpec, X, Z, Theta):
-    """Energy in the selector's normalization, elementwise and unchecked:
+    """Lab energy plus the spec's offset, elementwise and unchecked:
     non-finite wherever a log argument is <= 0."""
     h = 0.0
     for t in spec.terms:
         h = h + t.c * np.log(t.arg(X, Z, Theta))
-    return h
+    return h + spec.offset
 
 
 def reduced_hamiltonian(spec: ReducedSystemSpec, s: NambuState):
-    """Energy of a shape point in the selector's normalization: a float for
+    """Energy of a shape point, offset included: a float for
     one point, elementwise for arrays of X, Z and Theta.  Raises
     SingularState for the first point, in order, with a log argument <= 0."""
     args = np.array([t.arg(s.X, s.Z, s.Theta) for t in spec.terms]).reshape(len(spec.terms), -1)
@@ -271,9 +230,9 @@ def reduced_hamiltonian(spec: ReducedSystemSpec, s: NambuState):
 def reduced_gradients(
     spec: ReducedSystemSpec, X: float, Z: float, Theta: float
 ) -> tuple[float, float]:
-    """(H_X, H_Z) of the selected Hamiltonian.
+    """(H_X, H_Z) of the reduced Hamiltonian.
 
-    The Y-derivative is identically zero for every selector, which is what
+    The Y-derivative is identically zero for every triple, which is what
     collapses the evolution to the template used in ``nambu_rhs``.
     """
     hx = hz = 0.0

@@ -51,6 +51,16 @@ def test_exit_codes():
         assert run_cli(argv + ["--rtol", "1e-8"])[0] == 1
 
 
+def test_values_past_the_float_range_fail_with_a_typed_error():
+    # a critical offset past the float range, and strengths so large that
+    # the integrator's first trial step underflows
+    code, out, err = run_cli(["critical", "--gammas", "1e3,1e200"])
+    assert (code, out) == (2, "") and "NonFiniteResult" in err
+    code, out, err = run_cli(["simulate", "--positions", "0,0,1,0,0,1", "--gammas",
+                              "1e150,1e150,1", "--t-end", "1", "--samples", "3"])
+    assert (code, out) == (2, "") and "StepSizeUnderflow" in err
+
+
 def test_csv_is_crlf_with_17_digit_cells():
     code, text, _ = run_cli(
         ["simulate", "--rho", "2.5", "--t-end", "5", "--samples", "3"]
@@ -582,7 +592,7 @@ def test_render_is_the_per_cell_writer_byte_for_byte(rows, fmt):
     assert cli._render(ns, columns, rows) == _reference_render(ns, columns, rows)
 
 
-_NONFINITE_SAMPLE = ["critical", "--gammas", "1e308,5e-324,0.4,2"]
+_NONFINITE_SAMPLE = ["bifurcation", "--gammas", "5e-324,0.5,2", "--theta", "1"]
 _TRAJECTORY_TAIL = ["--rho", "1.3", "--gamma", "0.4", "--t-end", "400",
                     "--samples", "4001"]
 
@@ -604,7 +614,10 @@ def test_stdout_is_the_per_cell_writers(argv, monkeypatch):
 
 def test_nonfinite_sample_spells_out_its_cells():
     _, text, _ = run_cli(_NONFINITE_SAMPLE)
-    assert text.splitlines()[1:3] == ["1e+308,-1,nan", "4.9406564584124654e-324,-1,"]
+    assert text.splitlines()[1] == (
+        "4.9406564584124654e-324,-4.9406564584124654e-324,0,nan,0,nan,0,0,0,"
+        "-9.8813129168249309e-324,0"
+    )
 
 
 def _refuse(cell):
@@ -616,13 +629,12 @@ def _refuse(cell):
     ids=["levels", "simulate", "reduced"],
 )
 def test_tables_of_floats_and_ints_skip_the_per_cell_path(argv, monkeypatch):
-    for fmt in ("csv", "json"):
-        code, text, _ = run_cli(argv + ["--format", fmt])
-        assert code == 0
-        with monkeypatch.context() as m:
-            m.setattr(cli, "_fmt", _refuse)
-            m.setattr(cli, "_cell", _refuse)
-            assert run_cli(argv + ["--format", fmt]) == (0, text, "")
+    # in CSV; JSON takes every cell through _cell
+    code, text, _ = run_cli(argv)
+    assert code == 0
+    monkeypatch.setattr(cli, "_fmt", _refuse)
+    monkeypatch.setattr(cli, "_cell", _refuse)
+    assert run_cli(argv) == (0, text, "")
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -637,11 +649,10 @@ def test_an_int_past_the_float_range_is_spelled_in_full(fmt):
 def test_other_cells_still_take_the_per_cell_path(odd, monkeypatch):
     monkeypatch.setattr(cli, "_fmt", _refuse)
     monkeypatch.setattr(cli, "_cell", _refuse)
-    for fmt in ("csv", "json"):
-        ns = argparse.Namespace(subcommand="test", format=fmt, out=None)
-        cli._render(ns, ("a", "b", "c"), [[0.5, 2, 1.5]])
-        with pytest.raises(AssertionError, match="per-cell path"):
-            cli._render(ns, ("a", "b", "c"), [[0.5, 2, 1.5], [0.5, odd, 1.5]])
+    ns = argparse.Namespace(subcommand="test", format="csv", out=None)
+    cli._render(ns, ("a", "b", "c"), [[0.5, 2, 1.5]])
+    with pytest.raises(AssertionError, match="per-cell path"):
+        cli._render(ns, ("a", "b", "c"), [[0.5, 2, 1.5], [0.5, odd, 1.5]])
 
 
 # the upper outcome flip at Gamma = 1 for a launch at L = 100, and a margin

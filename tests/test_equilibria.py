@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from trivortex.equilibria import (
     jacobian,
     separatrix_energy,
 )
-from trivortex.errors import NotAnEquilibrium
+from trivortex.errors import NonFiniteResult, NotAnEquilibrium
 from trivortex.reduction import (
     HYPERBOLOID,
     SPHERE,
@@ -278,6 +279,31 @@ def test_critical_offsets():
         assert rp == pytest.approx(want, rel=1e-12)
     with pytest.raises(ValueError):
         critical_rho(0.0)
+
+
+# the closed form at 60 significant digits (mpmath, from the branch formula
+# for x_- on the unit leaf); large Gamma approaches 2 e Gamma^2
+_CRITICAL_REFERENCE = (
+    (0.9, 2.361386511474015743463),
+    (1.7, 13.9193345311799547016),
+    (2.0, 19.96804164525796520264),
+    (10.0, 541.909298085182732711),
+    (100.0, 54363.89067816384804043),
+    (1e3, 5436561.911038800640713),
+    (1e6, 5436563656916.344591549),
+    (1e10, 543656365691809047070.3),
+    (1e150, 5.436563656918090262344e300),
+)
+
+
+def test_critical_offset_keeps_its_digits_to_the_end_of_the_float_range():
+    for g, want in _CRITICAL_REFERENCE:
+        assert critical_rho(g)[1] == pytest.approx(want, rel=1e-15)
+    top = 5.7e153
+    assert critical_rho(top)[1] == pytest.approx(2.0 * math.e * top * top, rel=1e-15)
+    for g in (5.8e153, 1e200, sys.float_info.max):
+        with pytest.raises(NonFiniteResult):
+            critical_rho(g)
 
 
 def test_critical_offset_solves_the_energy_equation():

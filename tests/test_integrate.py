@@ -104,6 +104,14 @@ def test_blowup_triggers_step_underflow():
         integrate(f, [0.0], IntegratorOptions(t_end=1.0))
 
 
+def test_a_field_too_fast_for_a_first_step_is_a_step_underflow():
+    # the starting-step guess squares rates past the float range, so its
+    # first trial step comes out as 0
+    with pytest.raises(StepSizeUnderflow) as info:
+        integrate(lambda t, y: [1e200, -1e200], [0.0, 1.0], IntegratorOptions())
+    assert (info.value.t, info.value.h) == (0.0, 0.0)
+
+
 @pytest.mark.parametrize("t_end", [1e-15, 1e-16, -1e-15])
 def test_span_shorter_than_the_minimum_step_is_one_step(t_end):
     # the step that ends the span is clamped to it, however short

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from trivortex.core import flat_rhs, hamiltonian, rhs as lab_rhs
+from trivortex.equilibria import equilibria_11m1, jacobian
 from trivortex.errors import DegenerateCirculationSum, SingularState, VortexError
 from trivortex.integrate import IntegratorOptions, integrate
 from trivortex.reduction import (
@@ -19,6 +21,7 @@ from trivortex.reduction import (
     LeafGrid,
     NambuState,
     ReducedSystemSpec,
+    _LogTerm,
     contour_cells,
     heading_rate,
     integrate_reduced,
@@ -34,6 +37,10 @@ from trivortex.reduction import (
 )
 
 RNG = np.random.default_rng(2024)
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
 
 
 def _random_positions(n=3, lo=-2.0, hi=2.0):
@@ -192,17 +199,13 @@ def test_selector_offsets_tie_printed_norms_to_lab_energy():
             assert h_red - h_lab == pytest.approx(spec.offset, abs=1e-10)
 
 
-def test_selector_detection_and_forcing():
+def test_selector_detection():
     spec = ReducedSystemSpec.for_circulations([1.0, 1.0, -1.0])
     assert spec.selector == "specialized-11m1"
     assert ReducedSystemSpec.for_circulations([1.0, 2.0, -1.0]).selector == "specialized-gamma"
     assert ReducedSystemSpec.for_circulations([1.0, 1.0, 1.0]).selector == "specialized-111"
     assert ReducedSystemSpec.for_circulations([1.0, 0.8, 2.0]).selector == "general-positive"
     assert ReducedSystemSpec.for_circulations([1.0, 1.5, -0.7]).selector == "general-negative"
-    forced = ReducedSystemSpec.for_circulations([1.0, 1.0, -1.0], selector="general-negative")
-    assert forced.selector == "general-negative" and forced.offset == 0.0
-    with pytest.raises(ValueError):
-        ReducedSystemSpec.for_circulations([1.0, 0.8, 2.0], selector="specialized-11m1")
     with pytest.raises(DegenerateCirculationSum):
         ReducedSystemSpec.for_circulations([1.0, 0.0, -1.0])
 
@@ -288,9 +291,8 @@ def test_rhs_orthogonal_to_energy_and_leaf_gradients():
 
 
 def test_specialized_rows_match_general_cross_product():
-    # (1,1,-1) closed rows
+    # the paper's printed rows against the one lab-energy table; (1,1,-1) first
     spec = ReducedSystemSpec.for_circulations([1.0, 1.0, -1.0])
-    gen = ReducedSystemSpec.for_circulations([1.0, 1.0, -1.0], selector="general-negative")
     for _ in range(100):
         s = _random_nambu(spec)
         want = (
@@ -299,13 +301,11 @@ def test_specialized_rows_match_general_cross_product():
             4.0 * s.X * s.Y / (s.Z**2 - s.X**2),
         )
         assert nambu_rhs(spec, s) == pytest.approx(want, rel=1e-10, abs=1e-10)
-        assert nambu_rhs(gen, s) == pytest.approx(want, rel=1e-10, abs=1e-10)
 
     # (1,G,-1) closed rows; the sign convention follows the general
     # cross-product template, which the lab-frame flow fixes unambiguously
     G = 2.0
     spec_g = ReducedSystemSpec.for_circulations([1.0, G, -1.0])
-    gen_g = ReducedSystemSpec.for_circulations([1.0, G, -1.0], selector="general-negative")
     for _ in range(100):
         s = _random_nambu(spec_g)
         D = (G * G + 1.0) * s.Z + (1.0 - G * G) * s.Theta - 2.0 * G * s.X
@@ -317,7 +317,38 @@ def test_specialized_rows_match_general_cross_product():
             -(2.0 * s.Y / (s.Z + s.X) - 4.0 * G * G * s.Y / D),
         )
         assert nambu_rhs(spec_g, s) == pytest.approx(want, rel=1e-10, abs=1e-10)
-        assert nambu_rhs(gen_g, s) == pytest.approx(want, rel=1e-10, abs=1e-10)
+
+
+# the paper's printed (1, 1, -1) table, a reference for the lab-energy
+# table: its log arguments are the lab table's doubled, so the two give
+# the same field and Hessian bit for bit
+_PRINTED_11M1_TERMS = (
+    _LogTerm(-0.5, 0.0, 1.0, 1.0, (0, 1)),
+    _LogTerm(+0.5, -1.0, 1.0, 0.0, (1, 2)),
+    _LogTerm(+0.5, +1.0, 1.0, 0.0, (0, 2)),
+)
+
+
+def test_the_lab_table_gives_the_printed_11m1_field_bit_for_bit():
+    spec = ReducedSystemSpec.for_circulations([1.0, 1.0, -1.0])
+    printed = replace(spec, terms=_PRINTED_11M1_TERMS, offset=0.0)
+    for _ in range(200):
+        s = _random_nambu(spec, (-5.0, 5.0))
+        got = reduced_gradients(spec, s.X, s.Z, s.Theta)
+        assert _hex(got) == _hex(reduced_gradients(printed, s.X, s.Z, s.Theta))
+        assert _hex(nambu_rhs(spec, s)) == _hex(nambu_rhs(printed, s))
+        assert reduced_hamiltonian(spec, s) == pytest.approx(
+            reduced_hamiltonian(printed, s), rel=1e-15, abs=1e-15
+        )
+    checked = 0
+    for theta in RNG.uniform(-5.0, 5.0, size=20):
+        for p in equilibria_11m1(float(theta)):
+            if p.kind == "equilibrium":
+                (jac, eig), (jac_p, eig_p) = jacobian(spec, p), jacobian(printed, p)
+                assert _hex(jac.ravel()) == _hex(jac_p.ravel())
+                assert _hex(np.array(eig).view(float)) == _hex(np.array(eig_p).view(float))
+                checked += 1
+    assert checked >= 20
 
 
 def test_heading_rate_special_cases():
