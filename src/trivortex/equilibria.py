@@ -307,10 +307,11 @@ def critical_rho(gamma: float) -> tuple[float, float | None]:
     if not (gamma > 0.0) or not math.isfinite(gamma):
         raise ValueError("Gamma must be positive and finite")
     g = gamma
-    # collinear saddle on a leaf th, a power of two near 1/Gamma so that no
-    # length overflows; every length scales exactly with th, and scaling in
-    # Theta then gives the critical leaf in closed form
-    th = 2.0 ** -math.frexp(g)[1]
+    # collinear saddle on a leaf th, a power of two near 1/Gamma (1 for
+    # Gamma < 1, where the power could overflow) so that no length
+    # overflows; every length scales exactly with th, and scaling in Theta
+    # then gives the critical leaf in closed form
+    th = 2.0 ** -max(math.frexp(g)[1], 0)
     x, exists, _ = _branches(g, th)[0]["E_-1"]
     if not exists:
         return (-1.0, None)

@@ -137,10 +137,11 @@ class ReducedSystemSpec:
     """Frozen description of one reduced system.
 
     ``circulations`` are the relabeled strengths (first two positive, in
-    their original relative order).  ``terms`` tabulate the lab energy.
-    ``selector`` names the family, and ``offset`` is its printed
-    normalization minus the lab energy: log 2 for (1, 1, -1), a function
-    of Gamma for (1, Gamma, -1) and 0 for every other triple.
+    their original relative order).  ``terms`` tabulate the lab energy
+    less the constant ``log_scale``.  ``selector`` names the family, and
+    ``offset`` is its printed normalization minus the lab energy: log 2
+    for (1, 1, -1), a function of Gamma for (1, Gamma, -1) and 0 for every
+    other triple.
     """
 
     circulations: tuple[float, float, float]
@@ -149,6 +150,7 @@ class ReducedSystemSpec:
     kappa3: float
     selector: str
     offset: float
+    log_scale: float
     terms: tuple[_LogTerm, ...]
     permutation: tuple[int, ...]
     time_reversed: bool
@@ -181,27 +183,31 @@ class ReducedSystemSpec:
                 selector = "specialized-gamma"
                 offset = G * math.log(1.0 + G) - 0.5 * math.log(G) + 0.5 * math.log(1.0 + G)
 
-        mu = math.sqrt(k1 / abs(k2))
-        terms = (
-            _LogTerm(-g[0] * g[1] / 2.0, 0.0, 1.0 / (2 * k1), 1.0 / (2 * k1), (0, 1)),
-            _LogTerm(
-                -g[1] * g[2] / 2.0,
-                -mu / g[1],
-                -1.0 / (2 * k2) + k1 / (2 * g[1] ** 2),
-                +1.0 / (2 * k2) + k1 / (2 * g[1] ** 2),
-                (1, 2),
-            ),
-            _LogTerm(
-                -g[0] * g[2] / 2.0,
-                +mu / g[0],
-                -1.0 / (2 * k2) + k1 / (2 * g[0] ** 2),
-                +1.0 / (2 * k2) + k1 / (2 * g[0] ** 2),
-                (0, 2),
-            ),
-        )
+        # The lab energy is sum(c log(arg)) over these rows plus log_scale.
+        # Each row is the lab energy's log argument divided by a positive
+        # constant: the pair row becomes (0, 1, 1), and the row of pair
+        # (i, 2) is divided by 2 kappa1 / g_i^2, so that its Z and Theta
+        # coefficients sum to 1/2.  Written in the strengths, that row is
+        # exact where g_i cancels g_2: (1, Gamma, -1) gets the (0, 2) row
+        # (1/2, 1/2, 0), whose argument (X + Z)/2 carries no rounding near
+        # that pair's collision.
+        g12 = g[0] + g[1]
+        total = (g[0] + g[2]) + g[1]  # exact where the first and third cancel
+
+        def bystander(i: int, sign: float) -> tuple[_LogTerm, float]:
+            j = 1 - i
+            gt = (-g[2] - g[i]) * g12 / (4.0 * g[j] * -g[2])  # +0 where they cancel
+            a = sign * 0.5 * math.sqrt(abs(total) * g[i] / (abs(g[2]) * g[j]))
+            term = _LogTerm(-g[i] * g[2] / 2.0, a, 0.5 - gt, gt, (i, 2))
+            return term, 2.0 * g[j] / (g[i] * g12)
+
+        (t12, s12), (t02, s02) = bystander(1, -1.0), bystander(0, +1.0)
+        terms = (_LogTerm(-g[0] * g[1] / 2.0, 0.0, 1.0, 1.0, (0, 1)), t12, t02)
+        log_scale = sum(t.c * math.log(s) for t, s in zip(terms, (0.5 / k1, s12, s02)))
         return cls(
             circulations=g, kappa1=k1, kappa2=k2, kappa3=k3, selector=selector,
-            offset=offset, terms=terms, permutation=perm, time_reversed=rev,
+            offset=offset, log_scale=log_scale, terms=terms, permutation=perm,
+            time_reversed=rev,
         )
 
 
@@ -211,7 +217,7 @@ def reduced_energy(spec: ReducedSystemSpec, X, Z, Theta):
     h = 0.0
     for t in spec.terms:
         h = h + t.c * np.log(t.arg(X, Z, Theta))
-    return h + spec.offset
+    return h + (spec.log_scale + spec.offset)
 
 
 def reduced_hamiltonian(spec: ReducedSystemSpec, s: NambuState):

@@ -593,6 +593,7 @@ def test_render_is_the_per_cell_writer_byte_for_byte(rows, fmt):
 
 
 _NONFINITE_SAMPLE = ["bifurcation", "--gammas", "5e-324,0.5,2", "--theta", "1"]
+_EMPTY_CELL_SAMPLE = ["critical", "--gammas", "5e-324,0.4,2"]
 _TRAJECTORY_TAIL = ["--rho", "1.3", "--gamma", "0.4", "--t-end", "400",
                     "--samples", "4001"]
 
@@ -602,7 +603,8 @@ _TRAJECTORY_TAIL = ["--rho", "1.3", "--gamma", "0.4", "--t-end", "400",
     ["simulate", *_TRAJECTORY_TAIL],
     ["reduced", *_TRAJECTORY_TAIL],
     _NONFINITE_SAMPLE,
-], ids=[*CASES, "simulate-trajectory", "reduced-trajectory", "nonfinite"])
+    _EMPTY_CELL_SAMPLE,
+], ids=[*CASES, "simulate-trajectory", "reduced-trajectory", "nonfinite", "empty-cell"])
 def test_stdout_is_the_per_cell_writers(argv, monkeypatch):
     for fmt in ("csv", "json"):
         code, text, _ = run_cli(argv + ["--format", fmt])
@@ -618,6 +620,8 @@ def test_nonfinite_sample_spells_out_its_cells():
         "4.9406564584124654e-324,-4.9406564584124654e-324,0,nan,0,nan,0,0,0,"
         "-9.8813129168249309e-324,0"
     )
+    _, text, _ = run_cli(_EMPTY_CELL_SAMPLE)
+    assert text.splitlines()[1:3] == ["4.9406564584124654e-324,-1,", "0.40000000000000002,-1,"]
 
 
 def _refuse(cell):

@@ -268,6 +268,7 @@ def test_separatrix_energy_values():
 def test_critical_offsets():
     assert critical_rho(1.0) == (-1.0, 3.5)
     assert critical_rho(0.4) == (-1.0, None)
+    assert critical_rho(5e-324) == (-1.0, None)
     for g, want in (
         (0.9, 2.3613865114740155),
         (1.3, 7.3534450339188035),

@@ -320,7 +320,7 @@ def test_specialized_rows_match_general_cross_product():
 
 
 # the paper's printed (1, 1, -1) table, a reference for the lab-energy
-# table: its log arguments are the lab table's doubled, so the two give
+# table: its bystander rows are the lab table's doubled, so the two give
 # the same field and Hessian bit for bit
 _PRINTED_11M1_TERMS = (
     _LogTerm(-0.5, 0.0, 1.0, 1.0, (0, 1)),
@@ -331,7 +331,7 @@ _PRINTED_11M1_TERMS = (
 
 def test_the_lab_table_gives_the_printed_11m1_field_bit_for_bit():
     spec = ReducedSystemSpec.for_circulations([1.0, 1.0, -1.0])
-    printed = replace(spec, terms=_PRINTED_11M1_TERMS, offset=0.0)
+    printed = replace(spec, terms=_PRINTED_11M1_TERMS, offset=0.0, log_scale=0.0)
     for _ in range(200):
         s = _random_nambu(spec, (-5.0, 5.0))
         got = reduced_gradients(spec, s.X, s.Z, s.Theta)
@@ -349,6 +349,32 @@ def test_the_lab_table_gives_the_printed_11m1_field_bit_for_bit():
                 assert _hex(np.array(eig).view(float)) == _hex(np.array(eig_p).view(float))
                 checked += 1
     assert checked >= 20
+
+
+# points (X, Y, Theta) of (1, 0.4, -1) near the (0, 2) collision, the
+# incoming dipole, where X + Z is 3e-5 to 3e-4; with H_red, H_X and H_Z of
+# the printed form at 60 digits (mpmath, at the float Z of leaf_z)
+_NEAR_02_REFERENCE = (
+    ((-5.0, 0.01, 0.05), -3.993977491049764571663, 1923.11066541324780483,
+     1923.110891574229646571),
+    ((-6.0, 0.003, 0.02), -5.009144059865910048474, 14669.95473111356403045,
+     14669.95479438076678989),
+    ((-6.0, 0.003, -0.02), -5.008382156207409013364, 14669.95469224105414034,
+     14669.95462852373946388),
+    ((-4.0, -0.02, 0.03), -4.228693387245759656463, 3076.965233358509705229,
+     3076.965446174162167917),
+    ((-3.0, 0.001, -0.04), -3.978345467744638952778, 1873.884820772850573897,
+     1873.884305554384618334),
+)
+
+
+def test_the_incoming_pair_keeps_its_digits_near_its_collision():
+    spec = ReducedSystemSpec.for_circulations([1.0, 0.4, -1.0])
+    for (X, Y, th), h, hx, hz in _NEAR_02_REFERENCE:
+        Z = float(leaf_z(th, X, Y))
+        s = NambuState(X, Y, Z, th, HYPERBOLOID)
+        assert reduced_hamiltonian(spec, s) == pytest.approx(h, rel=1e-15)
+        assert reduced_gradients(spec, X, Z, th) == pytest.approx((hx, hz), rel=1e-15)
 
 
 def test_heading_rate_special_cases():
