@@ -14,7 +14,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import BoundaryTheta, QuadratureNonConvergence
+from .errors import BoundaryTheta, NonFiniteResult, QuadratureNonConvergence
 
 COMPLEX_PAIR = "ComplexPair"
 REAL_REAL = "RealReal"
@@ -22,6 +22,9 @@ REAL_IMAG = "RealImag"
 IMAG_IMAG = "ImagImag"
 
 _RELERR = 1e-16
+# |Theta| below 2**256 keeps Theta^4, the size of the quartic's constant
+# term, inside the float range
+_THETA_RANGE = 2.0**256
 
 
 def _sqrt(w):
@@ -170,9 +173,15 @@ class QuarticFactorization:
 
 def _u_roots(theta: float):
     """Roots -B +/- 8 sqrt(Theta + 1) of ``p4_factor``'s quartic in u = Y^2,
-    a conjugate pair below Theta = -1; raises on the regime boundaries."""
+    a conjugate pair below Theta = -1; raises on the regime boundaries and
+    where the quartic's coefficients are past the float range."""
     if not math.isfinite(theta):
         raise ValueError("Theta must be finite")
+    if not abs(theta) < _THETA_RANGE:
+        raise NonFiniteResult(
+            f"Theta = {theta!r} is past 2**256, where the quartic's "
+            "coefficients leave the float range"
+        )
     if theta in (-1.0, 0.0, 8.0):
         raise BoundaryTheta(
             f"Theta = {theta} sits on a factorization boundary"
@@ -262,7 +271,8 @@ def delta_alpha_closed(theta: float) -> float:
     u = Y^2 the two partial fractions each reduce to one R_J whose first
     three arguments are the lower limit's offsets from the quartic's
     u-roots, taken as a conjugate pair when no real roots exist. On the
-    singular leaf Theta = 0 the angle vanishes identically.
+    singular leaf Theta = 0 the angle vanishes identically.  Raises
+    NonFiniteResult where the value is not a finite float.
     """
     if theta == 0.0:
         return 0.0
@@ -279,7 +289,8 @@ def delta_alpha_closed(theta: float) -> float:
     c2 = t * t - 8.0 * t
     total = -8.0 * c1 * _rj_core(*args, u0 + c1) / 3.0
     total += 8.0 * c2 * _rj_core(*args, u0 + c2) / 3.0
-    if isinstance(total, complex):
-        return float(total.real)
-    return float(total)
+    value = float(total.real) if isinstance(total, complex) else float(total)
+    if not math.isfinite(value):
+        raise NonFiniteResult(f"the closed form at Theta = {theta!r} is not a finite float")
+    return value
 

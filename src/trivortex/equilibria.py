@@ -115,13 +115,32 @@ def jacobian(
     return jac, (complex(0.0), lam, -lam)
 
 
+def _past_range(point: CriticalPoint) -> NonFiniteResult:
+    return NonFiniteResult(
+        f"{point.label} on the leaf Theta = {point.theta!r} is past the float range"
+    )
+
+
 def _with_eigenvalues(
     spec: ReducedSystemSpec, points: list[CriticalPoint]
 ) -> list[CriticalPoint]:
-    return [
-        replace(p, eigenvalues=jacobian(spec, p)[1]) if p.kind == EQUILIBRIUM else p
-        for p in points
-    ]
+    # raises NonFiniteResult where a coordinate or an eigenvalue leaves the
+    # float range; NumPy's warning for the overflow would only repeat it
+    out = []
+    for p in points:
+        if not all(map(math.isfinite, p.coords)):
+            raise _past_range(p)
+        if p.kind == EQUILIBRIUM:
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    lams = jacobian(spec, p)[1]
+            except ZeroDivisionError:  # a squared log argument underflows to 0
+                raise _past_range(p) from None
+            if not all(map(cmath.isfinite, lams)):
+                raise _past_range(p)
+            p = replace(p, eigenvalues=lams)
+        out.append(p)
+    return out
 
 
 def equilibria_111(theta: float) -> list[CriticalPoint]:

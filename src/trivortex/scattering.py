@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -351,6 +352,45 @@ def _sweep_row(payload: tuple[ScatteringSetup, IntegratorOptions, float]) -> tup
     return (rho, theta, res.delta_alpha, res.outcome, "")
 
 
+# the process pool that sweep reuses: ((pid, workers), executor), or None;
+# the lock makes checking and replacing it one step for sweeps on threads
+_pool = None
+_pool_lock = threading.RLock()
+
+
+def _close_pool() -> None:
+    """Shut the reused pool down, as leaving a ``with`` block would.
+
+    A forked child only forgets the pool it inherited: the workers are its
+    parent's.
+    """
+    global _pool
+    with _pool_lock:
+        if _pool is not None:
+            (pid, _), pool = _pool
+            _pool = None
+            if pid == os.getpid():
+                pool.shutdown()
+
+
+def _pool_for(workers: int):
+    """The process pool of this process with ``workers`` workers, started
+    on first use; a pool of another size or process is closed first."""
+    global _pool
+    key = (os.getpid(), workers)
+    with _pool_lock:
+        if _pool is None or _pool[0] != key:
+            # imported here, so that importing the package loads no multiprocessing
+            import atexit
+            from concurrent.futures import ProcessPoolExecutor
+
+            _close_pool()
+            _pool = (key, ProcessPoolExecutor(max_workers=workers))
+            atexit.unregister(_close_pool)
+            atexit.register(_close_pool)
+        return _pool[1]
+
+
 def sweep(
     rhos,
     gamma: float = 1.0,
@@ -368,6 +408,13 @@ def sweep(
     the offsets were given.  A row that hits the time budget is flagged
     rather than aborting the sweep.  Raises BadSetup unless ``jobs`` is an
     integer of at least 1.
+
+    A process keeps one pool for every sweep with the same worker count,
+    and shuts it down at exit, when the count changes, or when a sweep
+    through it raises.  Its workers keep the module state they were started
+    with: a monkeypatch made after the pool starts does not reach them, and
+    one undone after it stays in them, so no test may start the pool while
+    a patch that changes rows is active.
     """
     if not (isinstance(jobs, (int, np.integer)) and jobs >= 1):
         raise BadSetup(f"jobs must be an integer of at least 1, got {jobs!r}")
@@ -378,10 +425,12 @@ def sweep(
     ]
     workers = min(jobs, len(payloads), os.cpu_count() or 1)
     if workers > 1:
-        # imported here, so that importing the package loads no multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        pool = _pool_for(workers)
+        try:
             rows = list(pool.map(_sweep_row, payloads))
+        except BaseException:
+            _close_pool()
+            raise
     else:
         rows = [_sweep_row(p) for p in payloads]
     return SWEEP_COLUMNS, rows

@@ -59,6 +59,23 @@ def test_values_past_the_float_range_fail_with_a_typed_error():
     code, out, err = run_cli(["simulate", "--positions", "0,0,1,0,0,1", "--gammas",
                               "1e150,1e150,1", "--t-end", "1", "--samples", "3"])
     assert (code, out) == (2, "") and "StepSizeUnderflow" in err
+    # a leaf whose quartic or catalog point leaves the float range
+    for argv in (
+        ["closed-form", "--rho", "-1e77"],
+        ["closed-form", "--rho", "1e154"],
+        ["equilibria", "--gamma", "1", "--theta", "1e160"],
+        ["equilibria", "--gamma", "1", "--theta", "1e308"],
+        ["equilibria", "--gammas", "1,1,1", "--theta", "5e-324"],
+    ):
+        code, out, err = run_cli(argv)
+        assert (code, out) == (2, "") and "NonFiniteResult" in err, argv
+
+
+def test_a_closed_form_past_the_float_range_is_an_empty_cell():
+    code, out, _ = run_cli(["closed-form", "--rho", "-1e76"])
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert rows == [["-1e+76", "-2.0000000000000001e+76", "ComplexPair", "", "0"]]
 
 
 def test_csv_is_crlf_with_17_digit_cells():

@@ -22,7 +22,7 @@ from trivortex.elliptic import (
     p4_factor,
     tanh_sinh,
 )
-from trivortex.errors import BoundaryTheta, QuadratureNonConvergence
+from trivortex.errors import BoundaryTheta, NonFiniteResult, QuadratureNonConvergence
 
 # frozen reference deflections, one per factorization regime plus the
 # exact special value at Theta = 2
@@ -136,6 +136,23 @@ def test_p4_factor_regimes_and_reference_points():
     for bad in (-1.0, 0.0, 8.0):
         with pytest.raises(BoundaryTheta):
             p4_factor(bad)
+
+
+def test_a_leaf_past_the_float_range_raises_a_typed_error():
+    # from |Theta| = 2**256 the quartic's constant term (Theta - 8) Theta^3
+    # overflows; every route refuses such a leaf
+    edge = 2.0**256
+    for theta in (edge, -edge, -2e77, 2e154, 1.7976931348623157e308):
+        for route in (p4_factor, delta_alpha_closed, delta_alpha_quadrature):
+            with pytest.raises(NonFiniteResult):
+                route(theta)
+    below = math.nextafter(edge, 0.0)
+    for theta in (below, -below):
+        assert p4_factor(theta).regime == (IMAG_IMAG if theta > 0.0 else COMPLEX_PAIR)
+        assert math.isfinite(delta_alpha_quadrature(theta))
+    # inside the range the closed form's R_J arguments can still overflow
+    with pytest.raises(NonFiniteResult, match="not a finite float"):
+        delta_alpha_closed(-2e76)
 
 
 def test_p4_factor_lower_limit_convention():

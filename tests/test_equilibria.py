@@ -241,6 +241,35 @@ def test_eigenvalue_structure_across_families():
                     assert lam[2].real == 0.0 and abs(lam[2].imag) > 0.0
 
 
+@pytest.mark.parametrize(
+    "catalog, theta",
+    [
+        (equilibria_11m1, 1e160),  # Z = sqrt(Theta^2 + X^2) overflows
+        (equilibria_11m1, 1e308),  # and X itself, from 4 Gamma Theta
+        (equilibria_11m1, -1e160),
+        (lambda th: equilibria_gamma(2.0, th), 1e154),
+        (lambda th: equilibria_gamma(0.9, th), -1e-154),  # eigenvalues overflow
+        (equilibria_111, 1e308),
+        (equilibria_111, 5e-324),  # a squared log argument underflows to 0
+    ],
+)
+def test_a_catalog_past_the_float_range_raises(catalog, theta):
+    with pytest.raises(NonFiniteResult, match="past the float range"):
+        catalog(theta)
+
+
+def test_a_catalog_near_the_end_of_the_float_range_stays_exact():
+    # every length scales with Theta and every rate with 1/Theta
+    for th in (1e150, -1e150):
+        big, unit = equilibria_11m1(th), equilibria_11m1(math.copysign(1.0, th))
+        assert [p.label for p in big] == [p.label for p in unit]
+        for p, q in zip(big, unit):
+            assert p.coords == pytest.approx([c * abs(th) for c in q.coords], rel=1e-15)
+            if p.eigenvalues is not None:
+                want = [lam / abs(th) for lam in q.eigenvalues]
+                assert p.eigenvalues == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
 def test_separatrix_energy_values():
     assert separatrix_energy(1.0, -1.0) == pytest.approx(math.log(2.0), abs=1e-13)
     assert separatrix_energy(1.0, 8.0) == pytest.approx(math.log(2.0), abs=1e-13)

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from dataclasses import asdict
 from pathlib import Path
 
@@ -520,22 +521,18 @@ def test_sweep_rejects_job_counts_below_one(jobs):
 
 @pytest.mark.parametrize("cpus", [1, 2, 4])
 @pytest.mark.parametrize("jobs", [2.5, 2.0, 1.0, math.inf, math.nan, "2", None])
-def test_sweep_rejects_a_job_count_that_is_no_integer_on_any_host(jobs, cpus, monkeypatch):
+def test_sweep_rejects_a_job_count_that_is_no_integer_on_any_host(jobs, cpus, recording_pool, monkeypatch):
     # the pool is never reached: the count is refused before any row runs
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(scattering.os, "cpu_count", lambda: cpus)
-    _RecordingPool.sizes = []
     with pytest.raises(BadSetup, match="integer"):
         sweep([1.0, 2.0, 3.0], launch=5.0, jobs=jobs)
-    assert _RecordingPool.sizes == []
+    assert recording_pool.sizes == []
 
 
-def test_sweep_takes_a_numpy_integer_job_count(monkeypatch):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+def test_sweep_takes_a_numpy_integer_job_count(recording_pool, monkeypatch):
     monkeypatch.setattr(scattering.os, "cpu_count", lambda: 4)
-    _RecordingPool.sizes = []
     _, rows = sweep([1.0, 2.0, 3.0], launch=5.0, jobs=np.int64(2))
-    assert _RecordingPool.sizes == [2]
+    assert recording_pool.sizes == [2]
     assert [r[4] for r in rows] == ["error:BadSetup"] * 3
 
 
@@ -556,38 +553,136 @@ def test_far_offsets_scatter_directly(rho):
 
 
 class _RecordingPool:
-    """Stands in for the process pool: records its size, maps in-process."""
+    """Stands in for the process pool: records the size of every pool
+    started and of every pool shut down, maps in-process, and raises from
+    ``map`` while ``fail`` is set."""
 
     sizes: list = []
+    closed: list = []
+    fail = False
 
     def __init__(self, max_workers):
+        self.max_workers = max_workers
         self.sizes.append(max_workers)
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
+    def shutdown(self, wait=True):
+        self.closed.append(self.max_workers)
 
     def map(self, fn, items):
+        if self.fail:
+            raise RuntimeError("worker died")
         return map(fn, items)
 
 
-def test_sweep_starts_no_more_workers_than_rows_or_cpus(monkeypatch):
-    # rows whose launch is too close fail fast, so no run is integrated
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """_RecordingPool in place of the process pool, with no pool cached;
+    the cached pool of the process is restored afterwards."""
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(scattering, "_pool", None)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(_RecordingPool, "closed", [])
+    monkeypatch.setattr(_RecordingPool, "fail", False)
+    return _RecordingPool
+
+
+def test_sweep_starts_no_more_workers_than_rows_or_cpus(recording_pool, monkeypatch):
+    # rows whose launch is too close fail fast, so no run is integrated
     monkeypatch.setattr(scattering.os, "cpu_count", lambda: 4)
-    _RecordingPool.sizes = []
     _, rows = sweep([1.0, 2.0, 3.0], launch=5.0, jobs=100_000)
-    assert _RecordingPool.sizes == [3]
+    assert recording_pool.sizes == [3]
     assert [r[4] for r in rows] == ["error:BadSetup"] * 3
     sweep([1.0] * 10, launch=5.0, jobs=100_000)
-    assert _RecordingPool.sizes == [3, 4]
+    assert recording_pool.sizes == [3, 4]
     sweep([1.0] * 10, launch=5.0, jobs=2)
     sweep([1.0], launch=5.0, jobs=100_000)  # one row runs in-process
     monkeypatch.setattr(scattering.os, "cpu_count", lambda: None)
     sweep([1.0] * 10, launch=5.0, jobs=100_000)
-    assert _RecordingPool.sizes == [3, 4, 2]
+    assert recording_pool.sizes == [3, 4, 2]
+    assert recording_pool.closed == [3, 4]
+
+
+def test_sweeps_with_one_worker_count_share_one_pool(recording_pool, monkeypatch):
+    monkeypatch.setattr(scattering.os, "cpu_count", lambda: 4)
+    first = sweep([1.0, 2.0, 3.0], launch=5.0, jobs=2)
+    assert sweep([1.0, 2.0, 3.0], launch=5.0, jobs=2) == first
+    sweep([1.0] * 5, launch=5.0, jobs=2)
+    assert recording_pool.sizes == [2]
+    assert recording_pool.closed == []
+
+
+def test_a_new_worker_count_replaces_the_pool(recording_pool, monkeypatch):
+    monkeypatch.setattr(scattering.os, "cpu_count", lambda: 4)
+    sweep([1.0, 2.0, 3.0], launch=5.0, jobs=2)
+    pool = scattering._pool[1]
+    sweep([1.0, 2.0, 3.0], launch=5.0, jobs=3)
+    assert recording_pool.sizes == [2, 3]
+    assert recording_pool.closed == [2]
+    assert scattering._pool[1] is not pool
+
+
+def test_a_pool_whose_map_raises_is_replaced(recording_pool, monkeypatch):
+    monkeypatch.setattr(scattering.os, "cpu_count", lambda: 4)
+    recording_pool.fail = True
+    with pytest.raises(RuntimeError, match="worker died"):
+        sweep([1.0, 2.0, 3.0], launch=5.0, jobs=2)
+    assert recording_pool.closed == [2]
+    assert scattering._pool is None
+    recording_pool.fail = False
+    _, rows = sweep([1.0, 2.0, 3.0], launch=5.0, jobs=2)
+    assert recording_pool.sizes == [2, 2]
+    assert [r[4] for r in rows] == ["error:BadSetup"] * 3
+
+
+def test_a_forked_child_leaves_its_parents_pool_alone(recording_pool, monkeypatch):
+    monkeypatch.setattr(scattering.os, "cpu_count", lambda: 4)
+    sweep([1.0, 2.0, 3.0], launch=5.0, jobs=2)
+    pid = os.getpid()
+    monkeypatch.setattr(scattering.os, "getpid", lambda: pid + 1)
+    sweep([1.0, 2.0, 3.0], launch=5.0, jobs=2)
+    assert recording_pool.sizes == [2, 2]
+    assert recording_pool.closed == []
+
+
+def test_sweeps_on_threads_lose_no_pool(recording_pool, monkeypatch):
+    # every pool but the cached one is shut down exactly once, however the
+    # threads interleave their checks and replacements
+    monkeypatch.setattr(scattering.os, "cpu_count", lambda: 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        def sweeps(jobs):
+            for _ in range(40):
+                sweep([1.0, 2.0, 3.0], launch=5.0, jobs=jobs)
+
+        threads = [threading.Thread(target=sweeps, args=(2 + i % 2,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(recording_pool.closed) == len(recording_pool.sizes) - 1
+    assert scattering._pool[1].max_workers == recording_pool.sizes[-1]
+
+
+def test_a_process_exits_quietly_with_its_pool():
+    # the pool is shut down at exit; the rows fail fast on the step budget
+    code = (
+        "from trivortex import scattering; "
+        "from trivortex.integrate import IntegratorOptions; "
+        "opts = IntegratorOptions(max_steps=3); "
+        "a = scattering.sweep([2.5, -1.5], opts=opts, jobs=2); "
+        "b = scattering.sweep([2.5, -1.5], opts=opts, jobs=2); "
+        "assert repr(a) == repr(b) and scattering._pool is not None"
+    )
+    src = str(Path(trivortex.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert (out.returncode, out.stdout, out.stderr) == (0, "", "")
 
 
 def test_sweep_flags_an_exhausted_step_budget(monkeypatch):
